@@ -7,12 +7,17 @@
 //! length, what the SIMD backend buys on top of the scalar fused path
 //! (`forward/simd_speedup/k=*` — ULP-divergent by contract, pinned by
 //! `tests/simd_equivalence.rs`), and what the prefix cache adds on top.
+//! At k=10 and k=20 it also times the production read-out path
+//! (`forward/readout/k=*`, question read-out masses straight from the
+//! forward) against the full-record fused pass
+//! (`forward/readout_speedup/k=*`).
 //!
 //! ```text
 //! cargo bench --bench kernels [-- --json KERNELS.json]
 //! ```
 
 use rage_bench::{black_box, scaled, section, Runner};
+use rage_llm::attention::Readout;
 use rage_llm::cache::PrefixCache;
 use rage_llm::kernels::KernelBackend;
 use rage_llm::tokenizer::SimTokenizer;
@@ -60,6 +65,13 @@ fn main() {
             black_box(transformer.forward_reference(&prompt, None));
         });
         runner.ratio(&format!("forward/fused_speedup/k={k}"), &reference, &fused);
+
+        if k >= 10 {
+            let readout = runner.bench(&format!("forward/readout/k={k}"), scaled(300), || {
+                black_box(transformer.forward_readout(&prompt, None, Readout::Question));
+            });
+            runner.ratio(&format!("forward/readout_speedup/k={k}"), &fused, &readout);
+        }
 
         let simd = runner.bench(&format!("forward/simd/k={k}"), scaled(300), || {
             black_box(vectored.forward(&prompt));

@@ -76,12 +76,6 @@ impl<R: Retriever> RagPipeline<R> {
         &self.retriever
     }
 
-    /// The retrieval component (alias for [`RagPipeline::retriever`], kept from the
-    /// era when the pipeline was hardwired to the single-index [`Searcher`]).
-    pub fn searcher(&self) -> &R {
-        &self.retriever
-    }
-
     /// The language model (shared handle).
     pub fn llm(&self) -> Arc<dyn LanguageModel> {
         Arc::clone(&self.llm)

@@ -4,6 +4,16 @@
 //! summing them over all internal layers, attention heads, and tokens corresponding to a
 //! combination's constituent sources" (§II-C). This module performs that aggregation
 //! over the [`AttentionRecord`] produced by the simulated transformer.
+//!
+//! Production never builds that record: [`Transformer::forward_readout`] computes the
+//! same masses inside the forward pass, from only the attention rows a [`Readout`]
+//! reads. The record-based `aggregate_*` functions here define the result and stay
+//! the oracle: the read-out path is held to them bit for bit
+//! (`tests/kernel_equivalence.rs`, `tests/simd_equivalence.rs`).
+//!
+//! [`Transformer::forward_readout`]: crate::transformer::Transformer::forward_readout
+
+use std::ops::Range;
 
 use crate::tokenizer::TokenizedPrompt;
 use crate::transformer::AttentionRecord;
@@ -38,6 +48,48 @@ impl SourceAttention {
             .enumerate()
             .max_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))
             .map(|(i, _)| i)
+    }
+}
+
+/// Which query rows of each attention matrix a read-out sums.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Readout {
+    /// Question-token rows only ([`aggregate_question_to_source_attention`]).
+    Question,
+    /// Every row of the prompt ([`aggregate_source_attention`]).
+    WholePrompt,
+}
+
+impl Readout {
+    /// The query rows of `prompt` this read-out sums (empty when the question span
+    /// lies outside the prompt).
+    pub fn rows(self, prompt: &TokenizedPrompt) -> Range<usize> {
+        match self {
+            Readout::Question => {
+                let (start, end) = prompt.question_span;
+                let end = end.min(prompt.len());
+                start.min(end)..end
+            }
+            Readout::WholePrompt => 0..prompt.len(),
+        }
+    }
+
+    /// Aggregate a full attention record with this read-out's `aggregate_*` function.
+    pub fn aggregate(self, record: &AttentionRecord, prompt: &TokenizedPrompt) -> SourceAttention {
+        match self {
+            Readout::Question => aggregate_question_to_source_attention(record, prompt),
+            Readout::WholePrompt => aggregate_source_attention(record, prompt),
+        }
+    }
+}
+
+/// Add one attention row's per-span sums into `masses`, span by span, each span
+/// summed left to right — the aggregation's order, so the in-forward read-out
+/// rounds exactly like the functions below.
+pub(crate) fn accumulate_row(masses: &mut [f64], row: &[f64], spans: &[(usize, usize)]) {
+    for (mass, &(start, end)) in masses.iter_mut().zip(spans) {
+        let span_mass: f64 = row[start..end.min(row.len())].iter().sum();
+        *mass += span_mass;
     }
 }
 

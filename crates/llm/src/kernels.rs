@@ -1,12 +1,18 @@
 //! Fused, cache-blocked inner-loop kernels for the transformer hot path.
 //!
 //! RAGE's explanation search spends essentially all of its time in repeated
-//! [`Transformer::forward`](crate::transformer::Transformer::forward) passes,
-//! and within one pass the `O(tokens²)` attention score/softmax/mix loops
+//! forward passes — in production the read-out path
+//! [`Transformer::forward_readout`](crate::transformer::Transformer::forward_readout),
+//! which shares its layer driver with the full-record
+//! [`Transformer::forward_cached`](crate::transformer::Transformer::forward_cached)
+//! — and within one pass the `O(tokens²)` attention score/softmax/mix loops
 //! dominate. This module is the optimised implementation of those loops:
 //! flat row-major buffers instead of `Vec<Vec<f64>>` pointer chasing,
 //! four-way blocking so independent floating-point dependency chains
-//! pipeline, and no per-query allocations.
+//! pipeline, and no per-query allocations. Both forwards call the same
+//! kernels; the read-out path only calls them on fewer rows of the last
+//! layer (every row for causal models, whose read-out sums the whole
+//! prompt), so the contract below covers it unchanged.
 //!
 //! ## The bit-identity contract
 //!

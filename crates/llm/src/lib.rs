@@ -40,8 +40,17 @@
 //! Explanation search evaluates hundreds of perturbed prompts per report, and each
 //! forward pass is dominated by the `O(tokens²)` attention score/softmax/mix loops.
 //! Those loops live in [`kernels`]: fused, cache-blocked implementations over flat
-//! row-major buffers that the production [`Transformer::forward`](transformer::Transformer::forward)
-//! path runs on. The contract is strict **bit-identity** — every kernel performs the
+//! row-major buffers. The production path is the read-out
+//! [`Transformer::forward_readout`](transformer::Transformer::forward_readout): it
+//! returns per-source attention masses directly and computes, in the last layer, only
+//! the attention rows the read-out sums — about ten question rows of a 100–600-token
+//! prompt — with no value mix or residual there. Causal models read every row, so for
+//! them it saves only the last layer's mix and residual. The full-record
+//! [`Transformer::forward_cached`](transformer::Transformer::forward_cached) shares its
+//! layer driver and kernels and serves tests and benches; the read-out's masses equal
+//! the aggregated record's bit for bit.
+//!
+//! The kernels' contract is strict **bit-identity** — every kernel performs the
 //! same IEEE-754 operations in the same per-scalar order as the straight-line
 //! reference implementation
 //! ([`Transformer::forward_reference`](transformer::Transformer::forward_reference),
@@ -87,8 +96,9 @@
 //! * [`cache`] — the prefix/attention KV cache shared across perturbed forwards.
 //! * [`kernels`] — fused, blocked inner loops for the attention hot path (bit-identical
 //!   to the reference by contract).
-//! * [`transformer`] — the attention stack and its recorded attention tensors.
-//! * [`attention`] — per-source attention aggregation (sum over layers/heads/tokens).
+//! * [`transformer`] — the attention stack: the production read-out forward and the
+//!   full-record forward.
+//! * [`attention`] — per-source attention read-outs (sum over layers/heads/tokens).
 //! * [`position_bias`] — parametric context-position priors ("lost in the middle" et al.).
 //! * [`knowledge`] — prior (pre-trained) knowledge facts.
 //! * [`extraction`] — question typing and candidate-answer extraction from sources.

@@ -11,7 +11,7 @@ use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use crate::attention::{aggregate_question_to_source_attention, aggregate_source_attention};
+use crate::attention::Readout;
 use crate::cache::PrefixCache;
 use crate::extraction::{classify_question, extract_candidates, QuestionKind};
 use crate::kernels::KernelBackend;
@@ -157,8 +157,9 @@ impl SimLlm {
     }
 
     /// Route forward passes through the straight-line
-    /// [`Transformer::forward_reference`] oracle instead of the fused
-    /// kernels.
+    /// [`Transformer::forward_reference`] oracle, aggregated from its full
+    /// record, instead of the production
+    /// [`Transformer::forward_readout`].
     ///
     /// The two paths are bit-identical by contract (see the
     /// [`kernels`](crate::kernels) module docs), so this switch can never
@@ -185,27 +186,24 @@ impl SimLlm {
         if k == 0 {
             return (Vec::new(), prompt.len());
         }
-        let record = if self.use_reference_forward {
-            self.transformer
-                .forward_reference(&prompt, self.prefix_cache.as_deref())
-        } else {
-            self.transformer
-                .forward_cached(&prompt, self.prefix_cache.as_deref())
-        };
         // Aggregation must match the mask. The prompt layout is question
         // first, sources after: under causal masking a question row can
         // never attend to a source token (sources are strictly in its
         // future), so the question-restricted read-out would be identically
         // zero. Causal models therefore aggregate over the whole prompt —
         // source rows, computed after the sources appear, carry the signal.
-        let content = if self.config.transformer.causal {
-            aggregate_source_attention(&record, &prompt).normalised()
+        let readout = if self.config.transformer.causal {
+            Readout::WholePrompt
         } else {
-            aggregate_question_to_source_attention(&record, &prompt).normalised()
+            Readout::Question
         };
-        // The record is fully aggregated; hand its matrices back so the next
-        // forward reuses their allocations instead of faulting fresh pages.
-        self.transformer.recycle(record);
+        let cache = self.prefix_cache.as_deref();
+        let masses = if self.use_reference_forward {
+            readout.aggregate(&self.transformer.forward_reference(&prompt, cache), &prompt)
+        } else {
+            self.transformer.forward_readout(&prompt, cache, readout)
+        };
+        let content = masses.normalised();
 
         let mut effective: Vec<f64> = (0..k)
             .map(|i| {

@@ -5,13 +5,25 @@
 //! must come from a real attention computation for the attention-based relevance
 //! scoring path to be meaningful. This module implements exactly that: token
 //! embeddings are projected per head, scaled dot-product attention is computed with a
-//! softmax per query position, hidden states are updated through a residual mix of the
-//! attended values, and every layer's per-head attention matrix is recorded.
+//! softmax per query position, and hidden states are updated through a residual mix of
+//! the attended values.
+//!
+//! Three entry points share that computation:
+//!
+//! * [`Transformer::forward_readout`] — **production**. It returns per-source attention
+//!   masses directly and computes only the attention rows the [`Readout`] reads.
+//! * [`Transformer::forward_cached`] (and [`Transformer::forward`]) — the full-record
+//!   path for tests and benches. It records every layer's per-head attention matrix,
+//!   over the same layer driver and kernels as the read-out path.
+//! * [`Transformer::forward_reference`] — the straight-line oracle both are tested
+//!   against.
 
+use std::ops::Range;
 use std::sync::{Arc, Mutex};
 
 use serde::{Deserialize, Serialize};
 
+use crate::attention::{accumulate_row, Readout, SourceAttention};
 use crate::cache::PrefixCache;
 use crate::embedding::{dot, normalize, Embedder, EmbeddingConfig};
 use crate::kernels;
@@ -126,21 +138,24 @@ pub struct Transformer {
     embedder: Embedder,
     /// Per layer, per head: a `head_dim × dim` projection applied to both queries and keys.
     projections: Vec<Vec<Matrix>>,
-    /// Which kernel implementation [`Transformer::forward_cached`] runs on.
+    /// Which kernel implementation the fused forwards run on.
     backend: kernels::KernelBackend,
     /// Recycled `n × n` buffers for attention matrices and combined-weight
     /// scratch. At report-scale prompts these allocations are large enough
     /// that the system allocator hands them back to the OS on every drop,
     /// and the page faults of re-touching fresh pages cost more than an
-    /// entire softmax pass per forward. Callers that are done reading an
-    /// [`AttentionRecord`] return its matrices via [`Transformer::recycle`];
-    /// clones share the pool.
+    /// entire softmax pass per forward. [`Transformer::forward_readout`]
+    /// returns every buffer it takes; [`Transformer::forward_cached`] keeps
+    /// its matrices in the record it returns. Clones share the pool.
     scratch: Arc<Mutex<Vec<Vec<f64>>>>,
 }
 
-/// Upper bound on pooled scratch buffers: enough for a full record (layers ×
-/// heads) plus the combined-weight matrix from concurrent forwards, while
-/// capping idle memory at `SCRATCH_CAP · n²` doubles.
+/// Upper bound on pooled scratch buffers. Production keeps no records, so a
+/// [`Transformer::forward_readout`] holds at most one layer's head matrices
+/// plus the combined-weight matrix at once — three buffers for the default
+/// two-head model — and returns them all. Twelve therefore covers four
+/// concurrent forwards (a default-config explanation runs one at a time per
+/// request) while capping idle memory at `SCRATCH_CAP · n²` doubles.
 const SCRATCH_CAP: usize = 12;
 
 /// SplitMix64 step (kept local to avoid a circular helper dependency).
@@ -221,23 +236,6 @@ impl Transformer {
         }
     }
 
-    /// Return a fully-read [`AttentionRecord`]'s matrices to the scratch
-    /// pool so the next forward pass reuses their allocations instead of
-    /// faulting in fresh pages. Purely an allocation-lifetime optimisation:
-    /// recycling is optional, never changes results, and records that are
-    /// simply dropped cost nothing beyond the lost reuse.
-    pub fn recycle(&self, record: AttentionRecord) {
-        let mut pool = self.scratch.lock().expect("scratch pool poisoned");
-        for layer in record.layers {
-            for matrix in layer.heads {
-                if pool.len() >= SCRATCH_CAP {
-                    return;
-                }
-                pool.push(matrix.data);
-            }
-        }
-    }
-
     /// The configuration in use.
     pub fn config(&self) -> &TransformerConfig {
         &self.config
@@ -289,7 +287,11 @@ impl Transformer {
     }
 
     /// Run the forward pass, reusing per-`(token, position)` state from a
-    /// [`PrefixCache`] when one is supplied.
+    /// [`PrefixCache`] when one is supplied, and record every attention matrix.
+    ///
+    /// This is the full-record path for tests and benches; production reads
+    /// source masses through [`Transformer::forward_readout`], which shares
+    /// this pass's layer driver but keeps no record.
     ///
     /// Only state that is a pure function of `(token id, position)` is taken
     /// from the cache — the input embeddings and the layer-0 per-head
@@ -298,11 +300,12 @@ impl Transformer {
     /// recomputed, so the returned [`AttentionRecord`] is bit-identical to an
     /// uncached forward pass.
     ///
-    /// This is the production path, implemented on the fused [`kernels`]:
-    /// flat row-major buffers, blocked inner loops, and a mirrored score
-    /// matrix (the pre-softmax score `dot(pᵩ, pₖ)·scale` is bit-symmetric in
-    /// `q`/`k`, so only the upper triangle is computed; under causal masking
-    /// each row's visible prefix is computed directly instead). Under
+    /// Implemented on the fused [`kernels`]: flat row-major buffers, blocked
+    /// inner loops, and a mirrored score matrix (the pre-softmax score
+    /// `dot(pᵩ, pₖ)·scale` is bit-symmetric in `q`/`k`, so only the upper
+    /// triangle is computed; under causal masking each row's visible prefix
+    /// is computed directly instead). The last layer's value mix and residual
+    /// update are skipped: no attention matrix depends on them. Under
     /// [`KernelBackend::Scalar`](kernels::KernelBackend::Scalar) the result
     /// is guaranteed bit-identical to [`Transformer::forward_reference`] —
     /// see the [`kernels`] module docs for the contract and
@@ -317,11 +320,79 @@ impl Transformer {
         cache: Option<&PrefixCache>,
     ) -> AttentionRecord {
         let n = prompt.len();
+        let mut layers = Vec::with_capacity(self.config.layers);
+        self.run_layers(prompt, cache, 0..n, |heads, _first_row| {
+            layers.push(LayerAttention { heads });
+        });
+        AttentionRecord { layers, seq_len: n }
+    }
+
+    /// The production forward pass: per-source attention masses under
+    /// `readout`, computed from only the attention rows it reads.
+    ///
+    /// Bit-identical to `readout.aggregate(&self.forward_cached(prompt,
+    /// cache), prompt)` under either backend. Layers before the last run in
+    /// full, because the next layer's hidden states need every row; their
+    /// matrices are pooled scratch, read and handed back. The last layer
+    /// projects keys for every token but scores and softmaxes only the
+    /// read-out rows, and skips the value mix and residual. Read-out rows
+    /// that start past position 0 have no earlier rows to mirror, so each
+    /// is scored directly against all keys; `dot` is bit-commutative, so a
+    /// direct row equals the mirrored one. Masses accumulate in the
+    /// aggregation's order — layer, head, row, span — so the sums round
+    /// identically.
+    ///
+    /// [`Readout::Question`] reads about ten rows of a 100–600-token prompt.
+    /// [`Readout::WholePrompt`] — the causal models' read-out — reads every
+    /// row, so it saves only the last layer's mix and residual and the
+    /// record's allocations; its masked entries read as the zeros a record
+    /// holds.
+    pub fn forward_readout(
+        &self,
+        prompt: &TokenizedPrompt,
+        cache: Option<&PrefixCache>,
+        readout: Readout,
+    ) -> SourceAttention {
+        let n = prompt.len();
+        let spans = &prompt.source_spans;
+        let mut masses = vec![0.0; spans.len()];
+        if n == 0 || spans.is_empty() {
+            return SourceAttention { masses };
+        }
+        let rows = readout.rows(prompt);
+        self.run_layers(prompt, cache, rows.clone(), |heads, first_row| {
+            for head in &heads {
+                for q in rows.clone() {
+                    accumulate_row(&mut masses, head.row(q - first_row), spans);
+                }
+            }
+            for head in heads {
+                self.give_scratch(head.data);
+            }
+        });
+        SourceAttention { masses }
+    }
+
+    /// The layer driver shared by [`Transformer::forward_cached`] and
+    /// [`Transformer::forward_readout`].
+    ///
+    /// Runs every layer and hands its per-head attention matrices to
+    /// `visit(heads, first_row)` once the layer is done. Every layer but the
+    /// last produces all `n` rows (`first_row == 0`). The last layer produces
+    /// only `last_rows` (which must lie within `0..n`): matrix row `i` holds
+    /// query position `first_row + i`, and its value mix and residual update
+    /// are skipped because nothing reads them. Matrices come from the scratch
+    /// pool; the visitor either keeps them or gives them back.
+    fn run_layers(
+        &self,
+        prompt: &TokenizedPrompt,
+        cache: Option<&PrefixCache>,
+        last_rows: Range<usize>,
+        mut visit: impl FnMut(Vec<Matrix>, usize),
+    ) {
+        let n = prompt.len();
         if n == 0 {
-            return AttentionRecord {
-                layers: Vec::new(),
-                seq_len: 0,
-            };
+            return;
         }
         let dim = self.config.dim;
         let heads_f = self.config.heads as f64;
@@ -350,6 +421,7 @@ impl Transformer {
 
         let backend = self.backend;
         let causal = self.config.causal;
+        let last_layer = self.config.layers - 1;
         // The SIMD backend folds the per-head value mixes into one combined
         // pass per query: the head weight rows are summed first, then the
         // values are traversed once instead of once per head. Same math,
@@ -358,18 +430,19 @@ impl Transformer {
         let combine_mix = backend == kernels::KernelBackend::Simd && self.config.heads > 1;
         let mut combined = vec![0.0f64; if combine_mix && causal { n } else { 0 }];
         // Full combined-weight matrix for the tiled mix (bidirectional SIMD
-        // path only — causal rows have ragged visible prefixes). Stale pool
-        // contents are fine: assembly assigns every element before the mix
-        // reads it.
-        let mut combined_all = if combine_mix && !causal {
+        // path only — causal rows have ragged visible prefixes — and only
+        // when some layer mixes at all). Stale pool contents are fine:
+        // assembly assigns every element before the mix reads it.
+        let mut combined_all = if combine_mix && !causal && last_layer > 0 {
             self.take_scratch(n * n, false)
         } else {
             Vec::new()
         };
         let inv_heads = kernels::exact_reciprocal(heads_f).unwrap_or(1.0 / heads_f);
 
-        let mut layers = Vec::with_capacity(self.config.layers);
         for layer in 0..self.config.layers {
+            let last = layer == last_layer;
+            let rows = if last { last_rows.clone() } else { 0..n };
             let mut head_matrices = Vec::with_capacity(self.config.heads);
             mixed.fill(0.0);
 
@@ -377,7 +450,8 @@ impl Transformer {
                 // Shared Q/K state into the flat buffer: at layer 0 the
                 // projection input is the (token, position) embedding, so the
                 // projected vector can be reused across prompts via the
-                // prefix cache.
+                // prefix cache. Every token is projected, even in a last
+                // layer that scores only a few rows: they are all keys.
                 match cache {
                     Some(cache) if layer == 0 => {
                         for (pos, token) in prompt.tokens.iter().enumerate() {
@@ -404,59 +478,63 @@ impl Transformer {
 
                 // Pre-softmax scores. Bidirectional: `dot(pᵩ, pₖ)` performs
                 // the same multiply/add sequence as `dot(pₖ, pᵩ)`, so the
-                // matrix is bit-symmetric — compute the upper triangle,
-                // mirror the rest. Causal: each row needs only its visible
-                // prefix `k <= q` (the lower triangle), and earlier rows
-                // never computed those columns, so the prefix is computed
-                // directly — no mirror, same `n(n+1)/2` total dot products.
-                // Scores are computed straight into the retained attention
-                // matrix — no separate score scratch and clone (a full
-                // extra `n × n` memcpy). The matrix comes from the scratch
-                // pool: the bidirectional pass overwrites every element
-                // (mirror plus kernel row), while the causal pass needs the
-                // masked upper triangle zeroed, exactly like a fresh
-                // allocation. The mirror reads earlier rows of `attn`
-                // itself, which still hold raw scores because the softmax
-                // pass below only starts once every row is written.
+                // matrix is bit-symmetric — when the rows start at 0, each
+                // row mirrors the columns left of its diagonal from rows
+                // already computed and scores the rest; otherwise each row is
+                // scored directly against every key, with the same bits.
+                // Causal: each row needs only its visible prefix `k <= q`
+                // (the lower triangle), and earlier rows never computed those
+                // columns, so the prefix is computed directly — no mirror,
+                // same `n(n+1)/2` total dot products. Scores are computed
+                // straight into the attention matrix, which comes from the
+                // scratch pool: the bidirectional pass overwrites every
+                // element, while the causal pass needs the masked upper
+                // triangle zeroed, exactly like a fresh allocation. The
+                // mirror reads earlier rows of `attn` itself, which still
+                // hold raw scores because the softmax pass below only starts
+                // once every row is written.
                 let mut attn = Matrix {
-                    rows: n,
+                    rows: rows.len(),
                     cols: n,
-                    data: self.take_scratch(n * n, causal),
+                    data: self.take_scratch(rows.len() * n, causal),
                 };
-                for q in 0..n {
-                    let row_start = q * n;
+                let mirror = !causal && rows.start == 0;
+                for q in rows.clone() {
+                    let row_start = (q - rows.start) * n;
+                    let query = &projected[q * head_dim..(q + 1) * head_dim];
                     if causal {
                         let visible = q + 1;
                         backend.scores_into(
-                            &projected[q * head_dim..(q + 1) * head_dim],
+                            query,
                             &projected[..visible * head_dim],
                             head_dim,
                             scale,
                             &mut attn.data[row_start..row_start + visible],
                         );
                     } else {
-                        for k in 0..q {
+                        let first = if mirror { q } else { 0 };
+                        for k in 0..first {
                             attn.data[row_start + k] = attn.data[k * n + q];
                         }
                         backend.scores_into(
-                            &projected[q * head_dim..(q + 1) * head_dim],
-                            &projected[q * head_dim..n * head_dim],
+                            query,
+                            &projected[first * head_dim..n * head_dim],
                             head_dim,
                             scale,
-                            &mut attn.data[row_start + q..row_start + n],
+                            &mut attn.data[row_start + first..row_start + n],
                         );
                     }
                 }
-                for q in 0..n {
+                for q in rows.clone() {
                     // Fused softmax + value mix over the query's visible
                     // weight prefix; masked (future) positions stay at the
                     // allocation's zeros, exactly like the reference's
                     // untouched entries.
                     let visible = if causal { q + 1 } else { n };
-                    let row = attn.row_mut(q);
+                    let row = attn.row_mut(q - rows.start);
                     let sum = backend.softmax_exp_inplace(&mut row[..visible]);
                     backend.weights_inplace(&mut row[..visible], sum);
-                    if !combine_mix {
+                    if !last && !combine_mix {
                         backend.mix_accumulate(
                             &row[..visible],
                             &hidden[..visible * dim],
@@ -469,6 +547,10 @@ impl Transformer {
                 head_matrices.push(attn);
             }
 
+            if last {
+                visit(head_matrices, rows.start);
+                break;
+            }
             if combine_mix && !causal {
                 // Assemble the head-averaged combined-weight matrix, then
                 // run one tiled mix over the whole layer so the hidden
@@ -524,15 +606,11 @@ impl Transformer {
             }
 
             backend.residual_normalize(&mut hidden, &mixed, dim);
-            layers.push(LayerAttention {
-                heads: head_matrices,
-            });
+            visit(head_matrices, 0);
         }
         if !combined_all.is_empty() {
             self.give_scratch(combined_all);
         }
-
-        AttentionRecord { layers, seq_len: n }
     }
 
     /// The straight-line reference forward pass — the oracle the fused

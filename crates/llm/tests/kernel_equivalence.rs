@@ -17,6 +17,11 @@
 //!    `ParallelEvaluator` worker pools over a fused model equal the reference
 //!    model's, cache on and off.
 //!
+//! A fourth check pins the production read-out: the source masses of
+//! [`Transformer::forward_readout`] equal `aggregate_*(forward_cached)` bit
+//! for bit, causal and bidirectional, cache off, cold and warm, including
+//! prompts at the read-out's edges.
+//!
 //! Everything is seeded; failures reproduce deterministically.
 
 //! Every test here pins [`KernelBackend::Scalar`] explicitly: the
@@ -30,10 +35,11 @@ use std::sync::Arc;
 use rage_core::explanation::ReportConfig;
 use rage_core::{ParallelEvaluator, RagPipeline, RageReport};
 use rage_datasets::{big_three, us_open, Scenario};
+use rage_llm::attention::{Readout, SourceAttention};
 use rage_llm::cache::PrefixCache;
 use rage_llm::kernels::KernelBackend;
 use rage_llm::model::{SimLlm, SimLlmConfig};
-use rage_llm::tokenizer::SimTokenizer;
+use rage_llm::tokenizer::{PromptToken, Segment, SimTokenizer, TokenizedPrompt};
 use rage_llm::transformer::{AttentionRecord, Transformer, TransformerConfig};
 use rage_llm::{LanguageModel, LlmInput, SourceText};
 use rage_retrieval::{IndexBuilder, Searcher};
@@ -227,6 +233,105 @@ fn fused_and_reference_caches_are_interchangeable() {
         let fused = transformer.forward_cached(&prompt, Some(&shared));
         let reference = transformer.forward_reference(&prompt, Some(&shared));
         assert_bit_identical("shared cache", &fused, &reference);
+    }
+}
+
+fn assert_masses_bit_identical(label: &str, got: &SourceAttention, want: &SourceAttention) {
+    let bits = |a: &SourceAttention| a.masses.iter().map(|m| m.to_bits()).collect::<Vec<_>>();
+    assert_eq!(
+        bits(got),
+        bits(want),
+        "{label}: {:?} vs {:?}",
+        got.masses,
+        want.masses
+    );
+}
+
+/// Prompts at the read-out's edges: no sources, a one-token question (the
+/// marker alone), an empty source, and hand-built layouts whose question
+/// span starts mid-sequence, ends the sequence, or is empty — the tokenizer
+/// always starts the question at 0, so only these reach the last layer's
+/// directly-scored (unmirrored) rows.
+fn edge_prompts(tokenizer: &SimTokenizer, state: &mut u64) -> Vec<TokenizedPrompt> {
+    let mut prompts = vec![
+        tokenizer.tokenize_prompt(&LlmInput::without_context("who won the most")),
+        tokenizer.tokenize_prompt(&LlmInput::new(
+            "",
+            vec![
+                SourceText::new("a", "federer wins"),
+                SourceText::new("b", "clay"),
+            ],
+        )),
+        tokenizer.tokenize_prompt(&LlmInput::new(
+            "who won",
+            vec![SourceText::new("a", ""), SourceText::new("b", "nadal open")],
+        )),
+    ];
+    let n = 11;
+    for (question_span, source_spans) in [
+        ((3, 6), vec![(0, 3), (6, 11)]),
+        ((10, 11), vec![(0, 4), (4, 10)]),
+        ((7, 7), vec![(0, 7), (7, 11)]),
+        ((0, 11), vec![(2, 5)]),
+    ] {
+        let tokens = (0..n)
+            .map(|_| PromptToken {
+                id: 8 + (splitmix64(state) % 40) as u32,
+                segment: Segment::Question,
+            })
+            .collect();
+        prompts.push(TokenizedPrompt {
+            tokens,
+            source_spans,
+            question_span,
+        });
+    }
+    prompts
+}
+
+#[test]
+fn readout_masses_are_bit_identical_to_aggregated_records() {
+    let tokenizer = SimTokenizer::new();
+    let mut state = 0x0EAD_0A57;
+    for causal in [false, true] {
+        for mut config in config_sweep() {
+            config.causal = causal;
+            let transformer = scalar_transformer(config);
+            // One cache across the sweep's prompts (warmth builds up) and a
+            // fresh one per prompt and read-out (cold), besides no cache.
+            let shared = PrefixCache::default();
+            let mut prompts = edge_prompts(&tokenizer, &mut state);
+            for _ in 0..6 {
+                prompts.push(tokenizer.tokenize_prompt(&random_input(&mut state)));
+            }
+            for (i, prompt) in prompts.iter().enumerate() {
+                let record = transformer.forward_cached(prompt, None);
+                for readout in [Readout::Question, Readout::WholePrompt] {
+                    let cold = PrefixCache::default();
+                    let label = format!(
+                        "dim={} heads={} layers={} causal={causal} prompt={i} {readout:?}",
+                        config.dim, config.heads, config.layers
+                    );
+                    let want = readout.aggregate(&record, prompt);
+                    // The second pass over the shared cache has seen this
+                    // very prompt: warm for every token.
+                    for (cache_label, cache) in [
+                        ("off", None),
+                        ("cold", Some(&cold)),
+                        ("shared", Some(&shared)),
+                        ("warm", Some(&shared)),
+                    ] {
+                        let got = transformer.forward_readout(prompt, cache, readout);
+                        assert_masses_bit_identical(
+                            &format!("{label} cache={cache_label}"),
+                            &got,
+                            &want,
+                        );
+                    }
+                }
+            }
+            assert!(shared.stats().hits > 0, "warm rounds must hit the cache");
+        }
     }
 }
 

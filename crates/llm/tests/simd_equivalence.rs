@@ -21,10 +21,15 @@
 //!    prompt, and the last row of a one-layer stack, are mask-independent),
 //!    and proof that the mask actually changes a registry scenario's
 //!    attention read-out.
+//! 4. **Production read-out** — under the SIMD backend the source masses of
+//!    `Transformer::forward_readout` equal `aggregate_*(forward_cached)` of
+//!    the same backend bit for bit, causal and bidirectional, cache off, cold
+//!    and warm. (The scalar backend's twin lives in `kernel_equivalence.rs`.)
 
 use std::sync::Arc;
 
 use rage_datasets::us_open;
+use rage_llm::attention::{Readout, SourceAttention};
 use rage_llm::cache::PrefixCache;
 use rage_llm::kernels::{self, KernelBackend};
 use rage_llm::model::{SimLlm, SimLlmConfig};
@@ -582,6 +587,70 @@ fn causal_generation_is_deterministic_across_backends_and_caches() {
         let c = cached.generate(&input);
         assert_eq!(a, b, "{backend:?}: cold cache changed a causal generation");
         assert_eq!(a, c, "{backend:?}: warm cache changed a causal generation");
+    }
+}
+
+// --------------------------------------------------------------------------
+// 4. The production read-out.
+// --------------------------------------------------------------------------
+
+#[test]
+fn simd_readout_masses_are_bit_identical_to_aggregated_records() {
+    let tokenizer = SimTokenizer::new();
+    let mut state = 0x51AD_0A57;
+    let bits = |a: &SourceAttention| a.masses.iter().map(|m| m.to_bits()).collect::<Vec<_>>();
+    for causal in [false, true] {
+        for mut config in config_sweep() {
+            config.causal = causal;
+            let transformer = Transformer::new(config).with_backend(KernelBackend::Simd);
+            let shared = PrefixCache::default();
+            let mut prompts = vec![
+                tokenizer.tokenize_prompt(&LlmInput::without_context("who won")),
+                tokenizer.tokenize_prompt(&LlmInput::new(
+                    "",
+                    vec![
+                        SourceText::new("a", "federer wins"),
+                        SourceText::new("b", ""),
+                    ],
+                )),
+            ];
+            // A question span starting mid-sequence: the last layer scores
+            // those rows directly instead of mirroring earlier rows.
+            let mut shifted = prompt_of_len(13, &mut state);
+            shifted.question_span = (5, 9);
+            shifted.source_spans = vec![(0, 5), (9, 13)];
+            prompts.push(shifted);
+            for _ in 0..6 {
+                prompts.push(tokenizer.tokenize_prompt(&random_input(&mut state)));
+            }
+            for (i, prompt) in prompts.iter().enumerate() {
+                let record = transformer.forward_cached(prompt, None);
+                for readout in [Readout::Question, Readout::WholePrompt] {
+                    let want = readout.aggregate(&record, prompt);
+                    let cold = PrefixCache::default();
+                    for (cache_label, cache) in [
+                        ("off", None),
+                        ("cold", Some(&cold)),
+                        ("shared", Some(&shared)),
+                        ("warm", Some(&shared)),
+                    ] {
+                        let got = transformer.forward_readout(prompt, cache, readout);
+                        assert_eq!(
+                            bits(&got),
+                            bits(&want),
+                            "dim={} heads={} layers={} causal={causal} prompt={i} {readout:?} \
+                             cache={cache_label}: {:?} vs {:?}",
+                            config.dim,
+                            config.heads,
+                            config.layers,
+                            got.masses,
+                            want.masses
+                        );
+                    }
+                }
+            }
+            assert!(shared.stats().hits > 0, "warm rounds must hit the cache");
+        }
     }
 }
 

@@ -9,10 +9,10 @@ use std::collections::{BTreeMap, HashSet};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::path::Path;
 
+use rage_json::{write_json_string, JsonValue};
 use serde::{Deserialize, Serialize};
 
 use crate::error::RetrievalError;
-use crate::json::{write_json_string, JsonValue};
 
 /// A single knowledge source.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]

@@ -135,7 +135,6 @@ pub mod bm25;
 pub mod document;
 pub mod error;
 pub mod index;
-pub mod json;
 pub mod retriever;
 pub mod searcher;
 pub mod sharded;

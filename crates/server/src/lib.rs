@@ -21,7 +21,7 @@
 //! | `GET /diff?scenario=S&from=N&to=N[&shards=N]` | diff the scenario's reports at two corpus versions (the `to` side may be the live version; older sides come from the service's bounded version cache) |
 //! | `POST /corpus/docs` | JSON body `{"scenario": S, "doc": {"id", "text"[, "title"][, "fields"]}[, "mode": "add"\|"update"\|"upsert"]}` — mutate the scenario's live corpus; answers the new corpus provenance |
 //! | `DELETE /corpus/docs/{id}?scenario=S` | remove one document from the scenario's live corpus |
-//! | `GET /stats`        | JSON counters: report cache, ask batching, requests, per-scenario corpus versions |
+//! | `GET /stats`        | JSON counters: connections accepted, requests served, report cache, ask batching, per-scenario corpus versions |
 //!
 //! Errors come back as `{"error":{"status":N,"message":...}}` with the status
 //! mirrored in the HTTP status line. Caller mistakes are always 4xx — unknown
@@ -357,7 +357,18 @@ pub struct Server {
     accept_handle: Option<JoinHandle<()>>,
     worker_handles: Vec<JoinHandle<()>>,
     dispatcher_handle: Option<JoinHandle<()>>,
-    requests_served: Arc<AtomicU64>,
+    counters: Arc<Counters>,
+}
+
+/// Traffic counters shared by the workers and exported by `GET /stats`.
+#[derive(Default)]
+struct Counters {
+    /// Connections handed to the worker pool.
+    connections_accepted: AtomicU64,
+    /// Requests answered, counted as each one is routed (so a `/stats`
+    /// response includes itself). Malformed requests answered with a 4xx
+    /// count too; a keep-alive connection counts once per request.
+    requests_served: AtomicU64,
 }
 
 impl Server {
@@ -373,7 +384,7 @@ impl Server {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
         let shutdown = Arc::new(AtomicBool::new(false));
-        let requests_served = Arc::new(AtomicU64::new(0));
+        let counters = Arc::new(Counters::default());
         let batcher = AskBatcher::new(Arc::clone(&service), config.ask_batch_window);
 
         let dispatcher_handle = {
@@ -394,7 +405,7 @@ impl Server {
                 let conn_rx = Arc::clone(&conn_rx);
                 let service = Arc::clone(&service);
                 let batcher = Arc::clone(&batcher);
-                let requests_served = Arc::clone(&requests_served);
+                let counters = Arc::clone(&counters);
                 let config = config.clone();
                 std::thread::Builder::new()
                     .name(format!("rage-server-worker-{i}"))
@@ -404,8 +415,10 @@ impl Server {
                             guard.recv()
                         };
                         let Ok(stream) = stream else { return };
-                        requests_served.fetch_add(1, Ordering::Relaxed);
-                        handle_connection(stream, &service, &batcher, &requests_served, &config);
+                        counters
+                            .connections_accepted
+                            .fetch_add(1, Ordering::Relaxed);
+                        handle_connection(stream, &service, &batcher, &counters, &config);
                     })
                     .expect("failed to spawn server worker")
             })
@@ -442,7 +455,7 @@ impl Server {
             accept_handle: Some(accept_handle),
             worker_handles,
             dispatcher_handle: Some(dispatcher_handle),
-            requests_served,
+            counters,
         })
     }
 
@@ -458,7 +471,12 @@ impl Server {
 
     /// Number of connections handed to the worker pool so far.
     pub fn connections_accepted(&self) -> u64 {
-        self.requests_served.load(Ordering::Relaxed)
+        self.counters.connections_accepted.load(Ordering::Relaxed)
+    }
+
+    /// Number of requests answered so far, over every connection.
+    pub fn requests_served(&self) -> u64 {
+        self.counters.requests_served.load(Ordering::Relaxed)
     }
 
     /// Stop accepting, drain the workers and join every thread.
@@ -511,7 +529,7 @@ fn handle_connection(
     stream: TcpStream,
     service: &Service,
     batcher: &AskBatcher,
-    requests_served: &AtomicU64,
+    counters: &Counters,
     config: &ServerConfig,
 ) {
     let _ = stream.set_read_timeout(Some(config.read_timeout));
@@ -534,11 +552,15 @@ fn handle_connection(
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             match parse_request_with_deadline(&mut reader, Some(deadline)) {
                 Ok(Some(request)) => {
-                    let response = route(&request, service, batcher, requests_served);
+                    counters.requests_served.fetch_add(1, Ordering::Relaxed);
+                    let response = route(&request, service, batcher, counters);
                     Some((response, request.keep_alive))
                 }
                 Ok(None) => None, // clean EOF or idle timeout, nothing to answer
-                Err(err) => Some((err.into(), false)),
+                Err(err) => {
+                    counters.requests_served.fetch_add(1, Ordering::Relaxed);
+                    Some((err.into(), false))
+                }
             }
         }));
         let (response, client_keep_alive) = match outcome {
@@ -566,7 +588,7 @@ fn route(
     request: &HttpRequest,
     service: &Service,
     batcher: &AskBatcher,
-    requests_served: &AtomicU64,
+    counters: &Counters,
 ) -> HttpResponse {
     match (request.method.as_str(), request.path.as_str()) {
         ("GET", "/") => index_page(service),
@@ -579,7 +601,7 @@ fn route(
         ("DELETE", path) if path.starts_with("/corpus/docs/") => {
             corpus_delete_endpoint(request, service)
         }
-        ("GET", "/stats") => stats_json(service, batcher, requests_served),
+        ("GET", "/stats") => stats_json(service, batcher, counters),
         // Known path, wrong method: 405 naming the method that works there —
         // not 404, which would misreport an existing endpoint as absent.
         (_, "/" | "/scenarios" | "/report" | "/stats") => method_not_allowed("GET"),
@@ -985,19 +1007,17 @@ fn diff_versions_endpoint(request: &HttpRequest, service: &Service) -> HttpRespo
     }
 }
 
-/// `GET /stats` — service + batcher counters.
-fn stats_json(
-    service: &Service,
-    batcher: &AskBatcher,
-    requests_served: &AtomicU64,
-) -> HttpResponse {
+/// `GET /stats` — traffic, service and batcher counters.
+fn stats_json(service: &Service, batcher: &AskBatcher, counters: &Counters) -> HttpResponse {
     let report_cache = service.report_cache_stats();
     let batch = batcher.stats();
+    let count = |counter: &AtomicU64| JsonValue::Number(counter.load(Ordering::Relaxed) as f64);
     let doc = JsonValue::Object(vec![
         (
-            "connections".into(),
-            JsonValue::Number(requests_served.load(Ordering::Relaxed) as f64),
+            "connections_accepted".into(),
+            count(&counters.connections_accepted),
         ),
+        ("requests_served".into(), count(&counters.requests_served)),
         (
             "report_cache".into(),
             JsonValue::Object(vec![

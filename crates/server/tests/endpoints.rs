@@ -699,6 +699,43 @@ fn stats_reflect_the_report_cache() {
     assert!(cache.get("hits").and_then(JsonValue::as_usize).unwrap() >= 1);
 }
 
+/// `/stats` counts connections and requests apart: N requests on one
+/// keep-alive socket read back as one connection and N requests (the
+/// `/stats` request counts itself).
+#[test]
+fn stats_count_requests_and_connections_apart() {
+    const N: usize = 5;
+    let server = start_server();
+    let stream = TcpStream::connect(server.addr()).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    for _ in 0..N - 1 {
+        (&stream)
+            .write_all(b"GET /scenarios HTTP/1.1\r\nHost: t\r\n\r\n")
+            .unwrap();
+        assert_eq!(read_framed(&mut reader).0, 200);
+    }
+    (&stream)
+        .write_all(b"GET /stats HTTP/1.1\r\nHost: t\r\n\r\n")
+        .unwrap();
+    let (status, _, body) = read_framed(&mut reader);
+    assert_eq!(status, 200);
+    let doc = JsonValue::parse(std::str::from_utf8(&body).unwrap()).unwrap();
+    assert_eq!(
+        doc.get("connections_accepted")
+            .and_then(JsonValue::as_usize),
+        Some(1)
+    );
+    assert_eq!(
+        doc.get("requests_served").and_then(JsonValue::as_usize),
+        Some(N)
+    );
+    assert_eq!(server.connections_accepted(), 1);
+    assert_eq!(server.requests_served(), N as u64);
+}
+
 /// `deadline_ms=` turns `/report` into an anytime request: a pre-expired
 /// deadline still answers 200 with an explicit `completeness` block, the
 /// exact report stays byte-identical before and after the anytime traffic
