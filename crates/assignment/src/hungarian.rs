@@ -6,14 +6,12 @@
 //! shortest-augmenting-path formulation of the Hungarian algorithm using row/column
 //! potentials.
 
-use serde::{Deserialize, Serialize};
-
 /// Sentinel cost for forbidden cells. Kept large but finite so the potential-based
 /// algorithm stays numerically well behaved; feasibility is checked after solving.
 pub const FORBIDDEN: f64 = 1.0e15;
 
 /// A square cost (or profit) matrix stored row-major.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CostMatrix {
     n: usize,
     data: Vec<f64>,
@@ -73,7 +71,7 @@ impl CostMatrix {
 }
 
 /// The result of an assignment solve.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Assignment {
     /// `assignment[r]` is the column assigned to row `r`.
     pub assignment: Vec<usize>,

@@ -1,9 +1,9 @@
-//! E9: index construction and query latency at growing corpus sizes, single vs
-//! sharded.
+//! E9: index construction and query latency at growing corpus sizes, one index
+//! segment vs N.
 //!
-//! The sharded cases partition the same corpus into N per-shard indexes (parallel
-//! build) and merge per-shard top-k selections at query time; results are identical to
-//! the single index by contract, so the interesting output is purely the timing —
+//! The `shards=N` cases split the same corpus into N segments (built in parallel)
+//! and merge per-segment top-k selections at query time; the ranking does not depend
+//! on the segment count, so the interesting output is purely the timing —
 //! `build/.../shards=N` vs `build/...` and `query/.../shards=N` vs `query/...`, plus
 //! the recorded `single/sharded` ratios. On a single-CPU runner the sharded build
 //! ratio hovers near (or below) 1×; on a multicore runner the per-shard worker
@@ -13,7 +13,7 @@ use rage_bench::{black_box, scaled, section, Runner};
 use rage_datasets::entity_registry::{self, EntityRegistryConfig};
 use rage_datasets::large_corpus::{self, LargeCorpusConfig};
 use rage_datasets::synthetic::{filler_corpus, filler_queries, FillerConfig};
-use rage_retrieval::{Document, IndexBuilder, Searcher, ShardedIndexBuilder, ShardedSearcher};
+use rage_retrieval::{Document, IndexBuilder, Searcher, ShardedIndexBuilder};
 
 const SHARD_COUNTS: &[usize] = &[2, 4, 8];
 
@@ -98,7 +98,7 @@ fn main() {
             },
         );
         for &shards in SHARD_COUNTS {
-            let sharded = ShardedSearcher::from_corpus(&corpus, shards);
+            let sharded = Searcher::from_corpus(&corpus, shards);
             let mut next = 0usize;
             let result = runner.bench(
                 &format!("query/docs={num_docs}/shards={shards}"),
@@ -198,7 +198,7 @@ fn main() {
         );
 
         let single = Searcher::new(IndexBuilder::default().build(&scenario.corpus));
-        let sharded = ShardedSearcher::from_corpus(&scenario.corpus, 8);
+        let sharded = Searcher::from_corpus(&scenario.corpus, 8);
         assert_eq!(
             single.search(&scenario.question, scenario.retrieval_k),
             sharded.search(&scenario.question, scenario.retrieval_k),
@@ -284,7 +284,7 @@ fn main() {
             start += 32;
         });
 
-        let sharded = ShardedSearcher::from_corpus(&corpus, 4);
+        let sharded = Searcher::from_corpus(&corpus, 4);
         let mut next = 0usize;
         runner.bench(
             &format!("query/docs={n}/shards=4/pruned"),

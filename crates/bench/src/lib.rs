@@ -18,12 +18,13 @@
 //!   compare against a checked-in baseline.
 //!
 //! Absolute numbers are indicative only; the interesting outputs are the
-//! *ratios* the paper's experiments compare (pruned vs exhaustive search,
-//! `O(s·k³)` vs `O(k!)` placements, `O(k·s)` vs `O(k!)` sampling) and, since
-//! the parallel evaluator landed, sequential vs parallel report cost.
+//! *ratios* (pruned vs exhaustive retrieval, fused vs reference forward,
+//! sequential vs parallel report cost).
 //!
-//! Run everything with `cargo bench`, or one target with
-//! `cargo bench --bench optimal_permutations`. The `RAGE_BENCH_FAST=1`
+//! There are three bench targets, all run by CI: `hot` (the gated ask,
+//! counterfactual and report paths), `kernels` (forward-pass variants) and
+//! `retrieval` (index build and query). Run everything with `cargo bench`, or
+//! one target with `cargo bench --bench hot`. The `RAGE_BENCH_FAST=1`
 //! environment variable shrinks iteration counts for smoke runs.
 
 #![forbid(unsafe_code)]
@@ -380,11 +381,6 @@ pub mod workloads {
         let llm = SimLlm::new(SimLlmConfig::default().with_prior(scenario.prior.clone()))
             .with_prefix_cache(Arc::clone(&cache));
         (RagPipeline::new(searcher, Arc::new(llm)), cache)
-    }
-
-    /// [`cached_pipeline_and_cache_for`] without the stats handle.
-    pub fn cached_pipeline_for(scenario: &Scenario) -> RagPipeline {
-        cached_pipeline_and_cache_for(scenario).0
     }
 
     /// A fresh evaluator (empty cache) over a scenario's retrieved context.

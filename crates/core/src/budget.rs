@@ -26,8 +26,6 @@
 
 use std::time::{Duration, Instant};
 
-use serde::{Deserialize, Serialize};
-
 /// A monotonic wall-clock deadline.
 ///
 /// Built from [`Instant`], so it measures elapsed monotonic time and is not
@@ -173,7 +171,7 @@ impl From<usize> for SearchBudget {
 /// `Exact` results are what the unbounded search would have returned. The two
 /// truncated markers describe *why* the search stopped and how much ground it
 /// covered, so a served report can state exactly what its numbers mean.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Completeness {
     /// The whole (size-bounded) candidate space was resolved.
     #[default]

@@ -5,14 +5,12 @@
 //! keep a subset of its sources (preserving relative order), permutations reorder all of
 //! them.
 
-use serde::{Deserialize, Serialize};
-
 use rage_llm::SourceText;
 use rage_retrieval::searcher::RankedSource;
 use rage_retrieval::Document;
 
 /// One source inside a retrieved context.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ContextSource {
     /// Document id of the source.
     pub doc_id: String,
@@ -34,7 +32,7 @@ impl ContextSource {
 }
 
 /// The ordered retrieved context `Dq` for a query `q`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Context {
     /// The query that produced this context.
     pub query: String,

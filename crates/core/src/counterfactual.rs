@@ -35,8 +35,6 @@
 //! resolved its whole space or was truncated by the cap, the deadline or the
 //! pruning bound.
 
-use serde::{Deserialize, Serialize};
-
 use rage_assignment::combinations::{complement, CombinationIter};
 use rage_assignment::kendall::kendall_tau;
 use rage_assignment::numeric::{binomial, factorial};
@@ -50,7 +48,7 @@ use crate::perturbation::Perturbation;
 use crate::scoring::ScoringMethod;
 
 /// Which end of the subset lattice the combination search starts from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SearchDirection {
     /// Start from the full context and *remove* sources: a counterfactual is a
     /// minimal removal set that changes the full-context answer.
@@ -62,7 +60,7 @@ pub enum SearchDirection {
 }
 
 /// Configuration of the combination counterfactual search.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct CounterfactualConfig {
     /// Search direction (top-down removal by default).
     pub direction: SearchDirection,
@@ -138,7 +136,7 @@ impl CounterfactualConfig {
 }
 
 /// Cost accounting for one search.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SearchStats {
     /// Number of candidate perturbations evaluated (cache hits included).
     pub candidates: usize,
@@ -147,7 +145,7 @@ pub struct SearchStats {
 }
 
 /// A combination whose removal/retention changes the answer.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CombinationCounterfactual {
     /// Context positions removed relative to the full context.
     pub removed: Vec<usize>,
@@ -173,7 +171,7 @@ impl CombinationCounterfactual {
 }
 
 /// Result of a combination counterfactual search.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CombinationOutcome {
     /// The first (smallest, most relevant) counterfactual found, if any.
     pub counterfactual: Option<CombinationCounterfactual>,
@@ -187,7 +185,7 @@ pub struct CombinationOutcome {
 }
 
 /// A full-context re-ordering that changes the answer.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PermutationCounterfactual {
     /// The counterfactual order: entry `p` is the context position of the
     /// source placed at prompt position `p`.
@@ -202,7 +200,7 @@ pub struct PermutationCounterfactual {
 }
 
 /// Result of a permutation counterfactual search.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PermutationOutcome {
     /// The most-similar answer-changing re-ordering found, if any.
     pub counterfactual: Option<PermutationCounterfactual>,

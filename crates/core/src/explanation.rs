@@ -8,8 +8,6 @@
 //! object the demonstration UI of the paper renders, and what `rage-report`
 //! turns into markdown.
 
-use serde::{Deserialize, Serialize};
-
 use rage_llm::position_bias::PositionBiasProfile;
 
 use crate::budget::{Completeness, Deadline, SearchBudget};
@@ -27,7 +25,7 @@ use crate::optimal::{
 use crate::scoring::ScoringMethod;
 
 /// Configuration for [`RageReport::generate`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ReportConfig {
     /// Relevance estimator used by every search.
     pub scoring: ScoringMethod,
@@ -76,7 +74,7 @@ impl ReportConfig {
 /// monotonically increasing corpus version, the order-independent content
 /// fingerprint and the live document count at generation time. Library paths that
 /// explain over an anonymous, immutable corpus leave it `None`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CorpusProvenance {
     /// Monotonically increasing mutation counter of the corpus (1 = as built).
     pub version: u64,
@@ -87,7 +85,7 @@ pub struct CorpusProvenance {
 }
 
 /// The complete explanation of one RAG answer.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RageReport {
     /// The question being explained.
     pub question: String,
@@ -126,7 +124,6 @@ pub struct RageReport {
     ///
     /// `None` on the library generation path ([`RageReport::generate`]); services
     /// with versioned corpora stamp it after generation.
-    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub corpus: Option<CorpusProvenance>,
 }
 

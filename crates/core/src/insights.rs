@@ -10,8 +10,6 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -28,7 +26,7 @@ use crate::perturbation::Perturbation;
 /// A normal-approximation 95% confidence interval for an answer share,
 /// attached when a budget truncated the sample (the evaluated prefix is then
 /// an estimate of the full seeded sample's distribution).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ShareInterval {
     /// Lower bound of the interval (clamped to 0).
     pub lower: f64,
@@ -48,7 +46,7 @@ impl ShareInterval {
 }
 
 /// One answer and its share of the sample.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AnswerShare {
     /// A representative surface form of the answer.
     pub answer: String,
@@ -64,7 +62,7 @@ pub struct AnswerShare {
 }
 
 /// The distribution of answers over a perturbation sample.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct AnswerDistribution {
     /// Total number of samples.
     pub total: usize,
@@ -95,7 +93,7 @@ impl AnswerDistribution {
 }
 
 /// Per-source, per-answer occurrence statistics.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FrequencyCell {
     /// The normalised answer this cell describes.
     pub answer: String,
@@ -108,7 +106,7 @@ pub struct FrequencyCell {
 }
 
 /// One source's row of the frequency table.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FrequencyRow {
     /// Context position of the source.
     pub source: usize,
@@ -121,7 +119,7 @@ pub struct FrequencyRow {
 }
 
 /// The source × answer frequency table.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct FrequencyTable {
     /// One row per context source.
     pub rows: Vec<FrequencyRow>,
@@ -129,7 +127,7 @@ pub struct FrequencyTable {
 
 /// A mined presence/absence rule: "when source `s` is present (absent), the
 /// answer is `a`".
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PresenceRule {
     /// Context position of the source.
     pub source: usize,
@@ -146,7 +144,7 @@ pub struct PresenceRule {
 }
 
 /// Insights computed over one perturbation sample.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Insights {
     /// Number of perturbations in the sample.
     pub num_samples: usize,

@@ -12,8 +12,6 @@
 //! comes from a [`PositionBiasProfile`] (the paper's "predefined V-shaped
 //! distribution" knob).
 
-use serde::{Deserialize, Serialize};
-
 use rage_assignment::hungarian::CostMatrix;
 use rage_assignment::kbest::{k_best_assignments, k_best_max_assignments};
 use rage_assignment::kendall::kendall_tau;
@@ -28,7 +26,7 @@ use crate::perturbation::Perturbation;
 use crate::scoring::ScoringMethod;
 
 /// Whether to maximise or minimise the placement objective.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum OrderObjective {
     /// The most answer-supporting placements (relevant sources in
     /// high-attention positions).
@@ -40,7 +38,7 @@ pub enum OrderObjective {
 }
 
 /// Configuration of the optimal-permutation search.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OptimalConfig {
     /// Relevance estimator for the sources.
     pub scoring: ScoringMethod,
@@ -81,7 +79,7 @@ impl OptimalConfig {
 }
 
 /// One ranked placement of the sources into context positions.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OptimalPermutation {
     /// Entry `p` is the context position of the source placed at prompt
     /// position `p` (the [`Perturbation::Permutation`] convention).

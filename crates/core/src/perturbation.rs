@@ -6,15 +6,13 @@
 //! order. [`Perturbation`] represents one concrete perturbation and knows how to apply
 //! itself to a [`Context`].
 
-use serde::{Deserialize, Serialize};
-
 use rage_llm::SourceText;
 
 use crate::context::Context;
 use crate::error::RageError;
 
 /// One concrete context perturbation.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Perturbation {
     /// Keep only the sources at these context positions (ascending order = original
     /// relative order). The empty combination is the empty context.

@@ -7,8 +7,6 @@
 
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-
 use rage_llm::{Generation, LanguageModel};
 use rage_retrieval::{Retriever, Searcher};
 
@@ -18,7 +16,7 @@ use crate::evaluator::{Evaluator, ParallelEvaluator};
 use crate::prompt::PromptBuilder;
 
 /// The answer of one RAG round trip, with full provenance.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RagResponse {
     /// The retrieved context `Dq`.
     pub context: Context,
@@ -42,13 +40,13 @@ impl RagResponse {
 
 /// Retrieval + prompt assembly + LLM inference.
 ///
-/// Generic over the retrieval backend: any [`Retriever`] plugs in — the single-index
-/// [`Searcher`] (the default type parameter, so existing `RagPipeline` signatures keep
-/// working unchanged), the partitioned
-/// [`ShardedSearcher`](rage_retrieval::ShardedSearcher), or a boxed `dyn Retriever`
-/// when the backend is chosen at runtime. Because both shipped backends produce
-/// identical rankings (see the `rage_retrieval::sharded` docs), explanations built
-/// through a sharded pipeline are equal to the single-index ones.
+/// Generic over the retrieval backend: any [`Retriever`] plugs in — a [`Searcher`]
+/// (the default type parameter), a shared
+/// [`LiveSearcher`](rage_retrieval::LiveSearcher) for a corpus that changes while it
+/// is served, or a boxed `dyn Retriever` when the backend is chosen at runtime. A
+/// searcher ranks identically for every segment count (see the
+/// `rage_retrieval::sharded` docs), so explanations do not depend on how its index
+/// is split.
 pub struct RagPipeline<R: Retriever = Searcher> {
     retriever: R,
     llm: Arc<dyn LanguageModel>,
@@ -336,7 +334,6 @@ mod tests {
 
     #[test]
     fn sharded_retriever_is_a_drop_in_replacement() {
-        use rage_retrieval::ShardedSearcher;
         let mut corpus = Corpus::new();
         corpus.push(Document::new(
             "slams",
@@ -359,8 +356,7 @@ mod tests {
             llm.clone(),
         );
         for shards in [1, 2, 3, 5] {
-            let sharded =
-                RagPipeline::new(ShardedSearcher::from_corpus(&corpus, shards), llm.clone());
+            let sharded = RagPipeline::new(Searcher::from_corpus(&corpus, shards), llm.clone());
             let query = "Who holds the most grand slam titles?";
             assert_eq!(
                 single.ask(query, 2).unwrap(),
@@ -369,8 +365,7 @@ mod tests {
             );
         }
         // A boxed dynamic retriever works too (backend chosen at runtime).
-        let boxed: Box<dyn rage_retrieval::Retriever> =
-            Box::new(ShardedSearcher::from_corpus(&corpus, 2));
+        let boxed: Box<dyn rage_retrieval::Retriever> = Box::new(Searcher::from_corpus(&corpus, 2));
         let dynamic = RagPipeline::new(boxed, llm.clone());
         assert_eq!(
             dynamic

@@ -5,12 +5,10 @@
 //! that prompt text (for provenance display and logging) and produces the structured
 //! [`LlmInput`] consumed by the model substrate.
 
-use serde::{Deserialize, Serialize};
-
 use rage_llm::{LlmInput, SourceText};
 
 /// Prompt template configuration.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PromptBuilder {
     /// Instruction preamble placed before the sources.
     pub instruction: String,

@@ -12,13 +12,11 @@
 //! for combinations of equal size, there is no need to normalise combination scores by
 //! the number of sources."
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::RageError;
 use crate::evaluator::Evaluate;
 
 /// Which relevance estimator to use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ScoringMethod {
     /// The LLM's aggregated attention over each source (one extra full-context call,
     /// answered from the evaluator's cache thereafter).

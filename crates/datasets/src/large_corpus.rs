@@ -105,7 +105,7 @@ pub fn scenario(config: LargeCorpusConfig) -> Scenario {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rage_retrieval::{IndexBuilder, Searcher, ShardedSearcher};
+    use rage_retrieval::{IndexBuilder, Searcher};
 
     #[test]
     fn default_scenario_is_at_least_2k_docs() {
@@ -146,7 +146,7 @@ mod tests {
             ..LargeCorpusConfig::default()
         };
         let s = scenario(config);
-        let sharded = ShardedSearcher::from_corpus(&s.corpus, 4);
+        let sharded = Searcher::from_corpus(&s.corpus, 4);
         // Every shard holds 64 contiguous documents and the 6 needles sit at stride
         // 42, so at least 3 different shards contain a needle; the merged ranking must
         // still equal the single-index one.

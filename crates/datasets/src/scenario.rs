@@ -2,11 +2,10 @@
 
 use rage_llm::knowledge::PriorKnowledge;
 use rage_retrieval::Corpus;
-use serde::{Deserialize, Serialize};
 
 /// A complete demonstration scenario: corpus, question, retrieval depth, the model's
 /// prior knowledge and the behaviour the paper describes for it.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Scenario {
     /// Short machine-friendly name (`big-three`, `us-open`, `timeline`, ...).
     pub name: String,

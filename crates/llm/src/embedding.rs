@@ -11,10 +11,8 @@
 //! Token vectors are generated lazily from a per-token SplitMix64 stream seeded by
 //! `(model seed, token id)`, and positions use the standard sinusoidal encoding.
 
-use serde::{Deserialize, Serialize};
-
 /// Configuration of the embedding layer.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EmbeddingConfig {
     /// Embedding (and model) dimensionality.
     pub dim: usize,
@@ -35,7 +33,7 @@ impl Default for EmbeddingConfig {
 }
 
 /// Deterministic embedding generator.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Embedder {
     config: EmbeddingConfig,
 }

@@ -7,12 +7,10 @@
 //! statements; what matters for the reproduction is that evidence comes *from the
 //! sources*, so that removing or demoting a source genuinely changes the answer.
 
-use serde::{Deserialize, Serialize};
-
 use crate::tokenizer::SimTokenizer;
 
 /// The kind of question being asked, which selects the answer-aggregation policy.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum QuestionKind {
     /// "Which/who is the best/greatest/most …" — a single superlative entity.
     Superlative,
@@ -30,7 +28,7 @@ pub enum QuestionKind {
 }
 
 /// A candidate answer extracted from one source.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Candidate {
     /// The candidate answer text (surface form, original casing).
     pub answer: String,

@@ -6,12 +6,10 @@
 //! hinge on that prior sometimes being stale or wrong. [`PriorKnowledge`] models this as
 //! a weighted list of keyword-triggered facts.
 
-use serde::{Deserialize, Serialize};
-
 use crate::tokenizer::SimTokenizer;
 
 /// One remembered fact: an answer triggered by question keywords.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PriorFact {
     /// Lowercased keywords; the fact fires when enough of them occur in the question.
     pub keywords: Vec<String>,
@@ -42,7 +40,7 @@ pub struct PriorMatch {
 }
 
 /// The model's store of prior facts.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct PriorKnowledge {
     facts: Vec<PriorFact>,
 }

@@ -137,12 +137,10 @@ pub mod position_bias;
 pub mod tokenizer;
 pub mod transformer;
 
-use serde::{Deserialize, Serialize};
-
 pub use cache::{CacheStats, PrefixCache};
 
 /// One context source as seen by the LLM: an identifier and its text.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SourceText {
     /// Stable identifier of the source (document id).
     pub id: String,
@@ -165,7 +163,7 @@ impl SourceText {
 /// The paper assembles a single natural-language prompt `p` from these parts; the
 /// rendering of `p` (delimiters, instructions) lives in `rage-core::prompt`, while the
 /// model consumes the structured form so that source token spans are known exactly.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LlmInput {
     /// The user's question `q`.
     pub question: String,
@@ -194,7 +192,7 @@ impl LlmInput {
 }
 
 /// The model's output for one prompt.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Generation {
     /// The short answer extracted from the model's response (already trimmed).
     pub answer: String,

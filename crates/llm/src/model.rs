@@ -7,7 +7,6 @@
 //! paper studies (see the crate-level documentation); everything is deterministic for a
 //! fixed configuration.
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -22,7 +21,7 @@ use crate::transformer::{Transformer, TransformerConfig};
 use crate::{Generation, LanguageModel, LlmInput};
 
 /// How evidence for the same answer from multiple sources combines.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EvidenceAggregation {
     /// The answer is dominated by its single strongest piece of evidence (default; this
     /// is what makes the model's answer follow the most-attended source, as in the
@@ -33,7 +32,7 @@ pub enum EvidenceAggregation {
 }
 
 /// Configuration of the simulated model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimLlmConfig {
     /// Attention-stack configuration.
     pub transformer: TransformerConfig,

@@ -11,10 +11,8 @@
 //! content-based attention by this prior; the optimal-permutation solver uses the same
 //! profile as the expected-attention distribution over positions.
 
-use serde::{Deserialize, Serialize};
-
 /// A parametric prior over context positions.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum PositionBiasProfile {
     /// No positional preference: every position weighs 1.
     Uniform,

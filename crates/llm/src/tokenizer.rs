@@ -5,8 +5,6 @@
 //! knowledge of which token positions belong to which context source so attention mass
 //! can be attributed per source. [`SimTokenizer`] provides both.
 
-use serde::{Deserialize, Serialize};
-
 use crate::{LlmInput, SourceText};
 
 /// Hash space size for token ids (also the embedding table size).
@@ -20,7 +18,7 @@ pub const QUESTION_TOKEN_ID: u32 = 1;
 const FIRST_HASH_ID: u32 = 8;
 
 /// A single prompt token: its vocabulary id and the segment it came from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PromptToken {
     /// Vocabulary id (stable hash of the lowercased surface form).
     pub id: u32,
@@ -29,7 +27,7 @@ pub struct PromptToken {
 }
 
 /// The prompt segment a token belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Segment {
     /// Question tokens (including the instruction preamble marker).
     Question,
@@ -40,7 +38,7 @@ pub enum Segment {
 }
 
 /// The tokenised prompt: the flat token sequence plus per-source span bookkeeping.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TokenizedPrompt {
     /// Flat token sequence (question first, then delimited sources in order).
     pub tokens: Vec<PromptToken>,
@@ -72,7 +70,7 @@ impl TokenizedPrompt {
 }
 
 /// Word-level tokenizer with deterministic hashed ids.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct SimTokenizer;
 
 impl SimTokenizer {

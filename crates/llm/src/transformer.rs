@@ -21,8 +21,6 @@
 use std::ops::Range;
 use std::sync::{Arc, Mutex};
 
-use serde::{Deserialize, Serialize};
-
 use crate::attention::{accumulate_row, Readout, SourceAttention};
 use crate::cache::PrefixCache;
 use crate::embedding::{dot, normalize, Embedder, EmbeddingConfig};
@@ -30,7 +28,7 @@ use crate::kernels;
 use crate::tokenizer::TokenizedPrompt;
 
 /// Configuration of the attention stack.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TransformerConfig {
     /// Number of attention layers.
     pub layers: usize,
@@ -66,7 +64,7 @@ impl Default for TransformerConfig {
 }
 
 /// A dense row-major `rows × cols` matrix of attention weights or projections.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Matrix {
     /// Number of rows.
     pub rows: usize,
@@ -109,14 +107,14 @@ impl Matrix {
 
 /// Attention matrices of one layer, one entry per head. Each matrix is `n × n` with
 /// rows = query positions, columns = key positions, rows summing to 1.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LayerAttention {
     /// Per-head attention matrices.
     pub heads: Vec<Matrix>,
 }
 
 /// The recorded attention of a full forward pass.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AttentionRecord {
     /// Per-layer attention.
     pub layers: Vec<LayerAttention>,

@@ -76,7 +76,7 @@ pub mod prelude {
     pub use rage_llm::{Generation, LanguageModel, LlmInput, SourceText};
     pub use rage_report::{diff, from_json, render_html, render_markdown, to_json, ReportDiff};
     pub use rage_retrieval::{
-        Corpus, Document, IndexBuilder, Retriever, Searcher, ShardedIndexBuilder, ShardedSearcher,
+        Corpus, Document, IndexBuilder, Retriever, Searcher, ShardedIndexBuilder,
     };
 }
 

@@ -11,9 +11,9 @@
 //!
 //! `report` (no subcommand) runs the full explanation pipeline over one
 //! scenario and renders the result; with `--out` the rendering is written to
-//! a file, otherwise it goes to stdout, and with `--shards N` retrieval runs
-//! through an N-way [`rage_retrieval::ShardedSearcher`] (the report is equal
-//! either way — sharding never changes results). `--anytime MS` bounds the
+//! a file, otherwise it goes to stdout, and with `--shards N` the
+//! [`rage_retrieval::Searcher`] splits its index into N segments (the report is
+//! equal either way — the ranking does not depend on the segment count). `--anytime MS` bounds the
 //! explanation searches by a wall-clock deadline of `MS` milliseconds:
 //! whatever the searches completed is rendered, and sections the deadline cut
 //! short carry explicit non-exact completeness markers (the JSON format's

@@ -17,7 +17,7 @@ use rage_core::explanation::ReportConfig;
 use rage_core::{RagPipeline, RageError, RageReport};
 use rage_datasets::{Scenario, ScenarioRegistry};
 use rage_llm::model::{SimLlm, SimLlmConfig};
-use rage_retrieval::{IndexBuilder, Retriever, Searcher, ShardedSearcher};
+use rage_retrieval::{IndexBuilder, Retriever, Searcher};
 
 /// The shared scenario registry (built once, in presentation order).
 pub fn registry() -> &'static ScenarioRegistry {
@@ -65,18 +65,18 @@ pub fn report_for(scenario: &Scenario, config: &ReportConfig) -> Result<RageRepo
     report_with_retriever(scenario, config, searcher)
 }
 
-/// Like [`report_for`], but retrieving through a [`ShardedSearcher`] over
-/// `num_shards` partitions.
+/// Like [`report_for`], but retrieving through a [`Searcher`] whose index is split
+/// into `num_shards` segments.
 ///
-/// Sharded retrieval returns bit-identical scores and identical orderings to the
-/// single index, so the resulting report is equal to [`report_for`]'s for every shard
-/// count — sharding is a deployment decision, not a behaviour change.
+/// The searcher's ranking does not depend on the segment count (bit-identical scores,
+/// identical orderings), so the resulting report is equal to [`report_for`]'s for
+/// every shard count.
 pub fn report_for_sharded(
     scenario: &Scenario,
     config: &ReportConfig,
     num_shards: usize,
 ) -> Result<RageReport, RageError> {
-    let searcher = ShardedSearcher::from_corpus(&scenario.corpus, num_shards);
+    let searcher = Searcher::from_corpus(&scenario.corpus, num_shards);
     report_with_retriever(scenario, config, searcher)
 }
 

@@ -10,12 +10,10 @@
 //!
 //! with the Lucene/Pyserini defaults `k1 = 0.9`, `b = 0.4`.
 
-use serde::{Deserialize, Serialize};
-
 use crate::index::InvertedIndex;
 
 /// BM25 free parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Bm25Params {
     /// Term-frequency saturation parameter.
     pub k1: f64,

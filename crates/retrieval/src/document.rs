@@ -10,12 +10,11 @@ use std::io::{BufRead, BufReader, Read, Write};
 use std::path::Path;
 
 use rage_json::{write_json_string, JsonValue};
-use serde::{Deserialize, Serialize};
 
 use crate::error::RetrievalError;
 
 /// A single knowledge source.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Document {
     /// Stable identifier, unique within a corpus.
     pub id: String,
@@ -24,7 +23,6 @@ pub struct Document {
     /// Main body text used for indexing and prompting.
     pub text: String,
     /// Optional key/value metadata (e.g. `year`, `metric`, `recency`).
-    #[serde(default, skip_serializing_if = "BTreeMap::is_empty")]
     pub fields: BTreeMap<String, String>,
 }
 
@@ -61,7 +59,7 @@ impl Document {
 }
 
 /// An ordered collection of documents with unique ids.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Corpus {
     documents: Vec<Document>,
     /// Ids of `documents`, kept in lockstep so the uniqueness check on every append

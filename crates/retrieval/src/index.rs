@@ -41,13 +41,11 @@
 
 use std::collections::HashMap;
 
-use serde::{Deserialize, Serialize};
-
 use crate::document::{Corpus, Document};
 use crate::tokenize::Tokenizer;
 
 /// One posting: a document ordinal and the term's frequency inside that document.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Posting {
     /// Ordinal of the document inside the indexed corpus (0-based, insertion order).
     pub doc: u32,
@@ -186,7 +184,7 @@ impl IndexBuilder {
 
 /// An immutable in-memory inverted index over a [`Corpus`] (see the [module
 /// docs](self) for the arena layout).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct InvertedIndex {
     /// All distinct terms, sorted, concatenated.
     term_arena: String,

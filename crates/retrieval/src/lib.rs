@@ -17,54 +17,51 @@
 //! * [`bm25`] — Okapi BM25 scoring with tunable `k1`/`b`.
 //! * [`topk`] — the pruned query hot path: sparse accumulation plus MaxScore-style
 //!   exact dynamic pruning over per-term score upper bounds.
-//! * [`searcher`] — the [`Searcher`](searcher::Searcher) facade producing the ranked
-//!   context `Dq` (a sequence of [`RankedSource`](searcher::RankedSource)) that RAGE
-//!   perturbs.
-//! * [`retriever`] — the [`Retriever`](retriever::Retriever) trait every retrieval
-//!   backend implements.
-//! * [`sharded`] — the partitioned [`ShardedSearcher`](sharded::ShardedSearcher)
-//!   backend for large corpora, with incremental mutation
-//!   ([`ShardedIndex::add`](sharded::ShardedIndex::add)/`remove`/`update`) through
-//!   per-shard delta segments, and the thread-safe mutable
-//!   [`LiveSearcher`](sharded::LiveSearcher). Every mutation advances a
-//!   [`CorpusVersion`](retriever::CorpusVersion) (monotonic counter plus
-//!   order-independent content fingerprint) that caches key on; see the `sharded`
-//!   module docs for the delta/compaction contract.
+//! * [`searcher`] — [`Searcher`](searcher::Searcher), the one searcher, producing the
+//!   ranked context `Dq` (a sequence of [`RankedSource`](searcher::RankedSource)) that
+//!   RAGE perturbs, and the thread-safe mutable
+//!   [`LiveSearcher`](searcher::LiveSearcher) around it.
+//! * [`retriever`] — the [`Retriever`](retriever::Retriever) trait the pipeline is
+//!   generic over.
+//! * [`sharded`] — the segmented [`ShardedIndex`](sharded::ShardedIndex) every
+//!   searcher reads: per-shard base segments, tombstones and delta segments, with
+//!   incremental mutation ([`ShardedIndex::add`](sharded::ShardedIndex::add)/`remove`/
+//!   `update`). Every mutation advances a [`CorpusVersion`](retriever::CorpusVersion)
+//!   (monotonic counter plus order-independent content fingerprint) that caches key
+//!   on; see the `sharded` module docs for the delta/compaction contract.
 //!
-//! ## The Retriever trait + sharding
+//! ## One searcher, any number of segments
 //!
 //! RAGE's pipeline is generic over [`Retriever`](retriever::Retriever): anything that
 //! can return a ranked, scored top-`k` context (plus score an individual document) can
-//! serve as the paper's retrieval model `M`. Two backends ship in this crate:
+//! serve as the paper's retrieval model `M`. This crate ships one implementation,
+//! [`Searcher`](searcher::Searcher), over a segmented index.
+//! [`Searcher::new`](searcher::Searcher::new) wraps an already-built
+//! [`InvertedIndex`](index::InvertedIndex) as one segment;
+//! [`Searcher::from_corpus`](searcher::Searcher::from_corpus) partitions a corpus into
+//! `N` contiguous shards, one segment each, built in parallel.
 //!
-//! * [`Searcher`](searcher::Searcher) — one inverted index over the whole corpus; the
-//!   right choice for the paper-scale demonstration corpora.
-//! * [`ShardedSearcher`](sharded::ShardedSearcher) — the corpus is partitioned into
-//!   `N` contiguous shards with one index each (built in parallel by default), and
-//!   queries merge per-shard top-k selections into one ranking.
-//!
-//! Sharding is **exact**, not approximate: every shard is scored with the *global*
-//! collection statistics ([`bm25::CollectionStats`]), and every ranking — single or
-//! merged — orders by descending score under `f64::total_cmp` with ties broken by
-//! ascending document id. Together these make `ShardedSearcher` return bit-identical
-//! scores and identical orderings to `Searcher` for every shard count, which is pinned
-//! by the equivalence suite in `crates/retrieval/tests/sharding.rs`:
+//! The ranking does **not** depend on the segment count: every segment is scored with
+//! the *global* collection statistics ([`bm25::CollectionStats`]), and every ranking
+//! orders by descending score under `f64::total_cmp` with ties broken by ascending
+//! document id. So a searcher returns bit-identical scores and identical orderings for
+//! every shard count, which is pinned by the equivalence suite in
+//! `crates/retrieval/tests/sharding.rs`:
 //!
 //! ```
 //! use rage_retrieval::document::{Corpus, Document};
 //! use rage_retrieval::index::IndexBuilder;
 //! use rage_retrieval::searcher::Searcher;
-//! use rage_retrieval::sharded::ShardedSearcher;
 //!
 //! let mut corpus = Corpus::new();
 //! corpus.push(Document::new("d1", "Tennis rankings", "Federer leads total match wins"));
 //! corpus.push(Document::new("d2", "Grand slams", "Djokovic holds the most grand slam titles"));
 //! corpus.push(Document::new("d3", "Clay", "Nadal dominates the French Open on clay"));
 //!
-//! let single = Searcher::new(IndexBuilder::default().build(&corpus));
-//! let sharded = ShardedSearcher::from_corpus(&corpus, 2);
+//! let one_segment = Searcher::new(IndexBuilder::default().build(&corpus));
+//! let two_shards = Searcher::from_corpus(&corpus, 2);
 //! let query = "who has the most grand slam titles";
-//! assert_eq!(single.search(query, 2), sharded.search(query, 2));
+//! assert_eq!(one_segment.search(query, 2), two_shards.search(query, 2));
 //! ```
 //!
 //! ## The query hot path: compact layout + exact dynamic pruning
@@ -104,9 +101,8 @@
 //!   scored exhaustively instead.
 //!
 //! Pruned and exhaustive paths return identical rankings down to the score *bits*;
-//! [`Searcher::try_search_exhaustive`](searcher::Searcher::try_search_exhaustive) and
-//! [`ShardedSearcher::try_search_exhaustive`](sharded::ShardedSearcher::try_search_exhaustive)
-//! expose the dense oracle the differential suite (`crates/retrieval/tests/pruning.rs`)
+//! [`Searcher::try_search_exhaustive`](searcher::Searcher::try_search_exhaustive)
+//! exposes the dense oracle the differential suite (`crates/retrieval/tests/pruning.rs`)
 //! compares against.
 //!
 //! [`InvertedIndex::term_max_tf`]: index::InvertedIndex::term_max_tf
@@ -146,9 +142,6 @@ pub use document::{Corpus, Document};
 pub use error::RetrievalError;
 pub use index::{IndexBuilder, InvertedIndex};
 pub use retriever::{CorpusVersion, Retriever};
-pub use searcher::{RankedSource, Searcher};
-pub use sharded::{
-    corpus_fingerprint, document_fingerprint, LiveSearcher, ShardedIndex, ShardedIndexBuilder,
-    ShardedSearcher,
-};
+pub use searcher::{LiveSearcher, RankedSource, Searcher};
+pub use sharded::{corpus_fingerprint, document_fingerprint, ShardedIndex, ShardedIndexBuilder};
 pub use tokenize::Tokenizer;

@@ -4,9 +4,10 @@
 //! RAGE only needs three things from retrieval: a ranked top-`k` context for a query,
 //! a way to score an individual document against a query (for the retrieval-based
 //! source-scoring method), and the collection size. This trait captures exactly that
-//! surface so the RAG pipeline can be wired onto *any* backend — the single-index
-//! [`Searcher`], the partitioned [`ShardedSearcher`](crate::sharded::ShardedSearcher),
-//! or a future remote/vector backend — without touching the explanation engine.
+//! surface so the RAG pipeline can be wired onto *any* backend — the crate's
+//! [`Searcher`](crate::searcher::Searcher) over any number of segments, the mutable
+//! [`LiveSearcher`](crate::searcher::LiveSearcher), or a future remote/vector backend —
+//! without touching the explanation engine.
 //!
 //! ## The ranking contract
 //!
@@ -16,8 +17,6 @@
 //! retrievers that assign the same scores return the *same* ranking, regardless of
 //! corpus layout, partitioning or merge order. The sharding equivalence suite
 //! (`crates/retrieval/tests/sharding.rs`) locks this in bit-for-bit.
-
-use serde::{Deserialize, Serialize};
 
 use crate::error::RetrievalError;
 use crate::searcher::RankedSource;
@@ -31,7 +30,7 @@ use crate::searcher::RankedSource;
 /// corpora holding the same documents (in any order) fingerprint identically.
 /// Downstream caches key on the version and can use the fingerprint to detect that two
 /// versions actually hold the same content.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CorpusVersion {
     /// Monotonically increasing mutation counter (1 = as built).
     pub version: u64,
@@ -68,10 +67,10 @@ pub trait Retriever: Send + Sync {
     /// The identity of the corpus state this retriever answers from, if the backend
     /// tracks one.
     ///
-    /// Mutable backends ([`LiveSearcher`](crate::sharded::LiveSearcher),
-    /// [`ShardedSearcher`](crate::sharded::ShardedSearcher)) return the current
-    /// [`CorpusVersion`]; immutable backends keep the `None` default. Pipelines and
-    /// services thread this value into cache keys and report provenance.
+    /// [`Searcher`](crate::searcher::Searcher) and
+    /// [`LiveSearcher`](crate::searcher::LiveSearcher) return the current
+    /// [`CorpusVersion`]; backends that track none keep the `None` default. Pipelines
+    /// and services thread this value into cache keys and report provenance.
     fn corpus_version(&self) -> Option<CorpusVersion> {
         None
     }

@@ -1,24 +1,36 @@
-//! Top-k search over the inverted index.
+//! Top-k search: [`Searcher`], the one searcher, and [`LiveSearcher`], the same
+//! searcher behind a lock for corpora that change while they are served.
 //!
 //! [`Searcher`] is the facade RAGE's pipeline talks to. Its [`Searcher::search`] method
 //! plays the role of the paper's retrieval model `M`: given a query `q` and a relevance
 //! threshold `k` it returns the ranked context `Dq`, each entry carrying the retrieval
 //! relevance score used by one of RAGE's two source-scoring methods.
+//!
+//! A searcher reads a [`ShardedIndex`]: one segment when [`Searcher::new`] wraps an
+//! [`InvertedIndex`], one base segment per shard from [`Searcher::from_corpus`], and
+//! delta segments and tombstones once the corpus is mutated. The ranking does not
+//! depend on the segment count (see the [`sharded`](crate::sharded) module docs).
+//! Queries run through the exact dynamic-pruning engine ([`crate::topk`]): each
+//! segment is searched term-at-a-time with admissible per-term upper bounds and
+//! tombstoned ordinals excluded, and the running global k-th best score is handed to
+//! later segments as an initial pruning threshold. Parameters outside the bounds'
+//! admissibility envelope fall back to dense scoring, which is also the differential
+//! oracle ([`Searcher::try_search_exhaustive`]).
 
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
-use std::sync::Mutex;
+use std::collections::{BinaryHeap, HashSet};
+use std::sync::{Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
-use serde::{Deserialize, Serialize};
-
-use crate::bm25::{score_all, score_doc_with, Bm25Params, CollectionStats};
-use crate::document::Document;
+use crate::bm25::{score_all_with, score_doc_with, Bm25Params, CollectionStats};
+use crate::document::{Corpus, Document};
 use crate::error::RetrievalError;
 use crate::index::InvertedIndex;
+use crate::retriever::{CorpusVersion, Retriever};
+use crate::sharded::{ShardedIndex, ShardedIndexBuilder};
 use crate::topk::{prunable, pruned_top_k, ScoreWorkspace};
 
 /// One retrieved source: a document plus its rank and BM25 score for the query.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RankedSource {
     /// Id of the retrieved document.
     pub doc_id: String,
@@ -126,7 +138,7 @@ pub(crate) fn select_top_k<'a>(
     )
 }
 
-/// BM25 searcher over an [`InvertedIndex`].
+/// BM25 searcher over a [`ShardedIndex`].
 ///
 /// Queries run on the pruned sparse path ([`crate::topk`]) — bit-identical to the
 /// exhaustive dense scoring, which remains available as
@@ -134,10 +146,11 @@ pub(crate) fn select_top_k<'a>(
 /// suite and the retrieval bench compare against).
 #[derive(Debug)]
 pub struct Searcher {
-    index: InvertedIndex,
+    index: ShardedIndex,
     params: Bm25Params,
-    /// Reusable sparse accumulator (see [`ScoreWorkspace`]). Concurrent queries that
-    /// miss the lock score on a fresh transient workspace instead of blocking.
+    /// Reusable sparse scoring workspace shared by every segment of a query (sized to
+    /// the largest segment touched). Queries that find it busy score on a throwaway
+    /// workspace instead of blocking — results are identical either way.
     workspace: Mutex<ScoreWorkspace>,
 }
 
@@ -152,13 +165,21 @@ impl Clone for Searcher {
 }
 
 impl Searcher {
-    /// Create a searcher with default (Pyserini) BM25 parameters.
-    pub fn new(index: InvertedIndex) -> Self {
+    /// Create a searcher with default (Pyserini) BM25 parameters over an
+    /// [`InvertedIndex`] (wrapped as one segment, without re-analysis) or a
+    /// [`ShardedIndex`].
+    pub fn new(index: impl Into<ShardedIndex>) -> Self {
         Self {
-            index,
+            index: index.into(),
             params: Bm25Params::default(),
             workspace: Mutex::new(ScoreWorkspace::new()),
         }
+    }
+
+    /// Partition a corpus into `num_shards` segments, index them and wrap the result
+    /// with defaults. The ranking is the same for every `num_shards`.
+    pub fn from_corpus(corpus: &Corpus, num_shards: usize) -> Self {
+        Self::new(ShardedIndexBuilder::new(num_shards).build(corpus))
     }
 
     /// Override the BM25 parameters.
@@ -168,8 +189,13 @@ impl Searcher {
     }
 
     /// The underlying index.
-    pub fn index(&self) -> &InvertedIndex {
+    pub fn index(&self) -> &ShardedIndex {
         &self.index
+    }
+
+    /// Mutable access to the underlying index, for incremental mutations.
+    pub fn index_mut(&mut self) -> &mut ShardedIndex {
+        &mut self.index
     }
 
     /// The BM25 parameters in use.
@@ -181,63 +207,34 @@ impl Searcher {
     ///
     /// Documents scoring exactly zero (no query term matches) are never returned, so the
     /// result may be shorter than `k`. Ties are broken by ascending document id (see
-    /// [`Retriever`](crate::retriever::Retriever)), which keeps results deterministic
-    /// and independent of how the corpus is partitioned or merged.
+    /// [`Retriever`]), which keeps results deterministic and independent of how the
+    /// corpus is partitioned or merged.
     pub fn search(&self, query: &str, k: usize) -> Vec<RankedSource> {
         self.try_search(query, k).unwrap_or_default()
     }
 
     /// Like [`Searcher::search`] but reports empty/unanalysable queries as errors.
+    ///
+    /// Runs the exact dynamic-pruning engine over every segment; parameters outside
+    /// the pruning admissibility envelope fall back to dense scoring. Either way the
+    /// result is bit-identical to [`try_search_exhaustive`](Self::try_search_exhaustive).
     pub fn try_search(&self, query: &str, k: usize) -> Result<Vec<RankedSource>, RetrievalError> {
-        let terms = self.index.tokenizer().tokenize(query);
-        if terms.is_empty() {
-            return Err(RetrievalError::EmptyQuery);
-        }
+        let terms = self.analyse(query)?;
         if k == 0 || self.index.num_docs() == 0 {
             return Ok(Vec::new());
         }
-
-        let selected = if prunable(self.params) {
-            let doc_freqs: Vec<usize> = terms.iter().map(|t| self.index.doc_freq(t)).collect();
-            let stats = CollectionStats {
-                num_docs: self.index.num_docs(),
-                avg_doc_len: self.index.avg_doc_len(),
-                doc_freqs: &doc_freqs,
-            };
-            match self.workspace.try_lock() {
-                Ok(mut ws) => pruned_top_k(
-                    &self.index,
-                    &terms,
-                    self.params,
-                    &stats,
-                    k,
-                    None,
-                    None,
-                    &mut ws,
-                ),
-                Err(_) => pruned_top_k(
-                    &self.index,
-                    &terms,
-                    self.params,
-                    &stats,
-                    k,
-                    None,
-                    None,
-                    &mut ScoreWorkspace::new(),
-                ),
-            }
-        } else {
-            // Exotic parameters (k1 < 0 or b outside [0, 1]) void the bound
-            // admissibility argument — score exhaustively instead.
-            let scores = score_all(&self.index, &terms, self.params);
-            select_top_k(&scores, k, |ordinal| {
-                self.index
-                    .doc_id(ordinal)
-                    .expect("ordinal produced by scoring must exist")
-            })
+        if !prunable(self.params) {
+            return Ok(self.exhaustive(&terms, k));
+        }
+        let mut guard = self.workspace.try_lock();
+        let mut spare = ScoreWorkspace::new();
+        let ws = match &mut guard {
+            Ok(ws) => &mut **ws,
+            Err(_) => &mut spare,
         };
-
-        Ok(self.to_ranked(selected))
+        Ok(self.merge(&terms, k, |segment, dead, stats, floor| {
+            pruned_top_k(segment, &terms, self.params, stats, k, dead, floor, ws)
+        }))
     }
 
     /// The exhaustive dense-scoring path: identical results (bit-for-bit scores) to
@@ -251,30 +248,93 @@ impl Searcher {
         query: &str,
         k: usize,
     ) -> Result<Vec<RankedSource>, RetrievalError> {
+        let terms = self.analyse(query)?;
+        if k == 0 || self.index.num_docs() == 0 {
+            return Ok(Vec::new());
+        }
+        Ok(self.exhaustive(&terms, k))
+    }
+
+    /// Score a single document (by id) against a query, even if it would not rank
+    /// top-k.
+    ///
+    /// Bit-identical to the document's entry in the dense score vector, computed
+    /// directly by probing each query term's postings (O(terms · log postings)
+    /// instead of O(corpus); see [`score_doc_with`]).
+    pub fn score_document(&self, query: &str, doc_id: &str) -> Result<f64, RetrievalError> {
+        let terms = self.analyse(query)?;
+        let (segment, local) = self
+            .index
+            .locate(doc_id)
+            .ok_or_else(|| RetrievalError::UnknownDocument(doc_id.to_string()))?;
+        let doc_freqs = self.index.doc_freqs(&terms);
+        let stats = self.index.stats(&doc_freqs);
+        Ok(score_doc_with(segment, &terms, self.params, &stats, local))
+    }
+
+    fn analyse(&self, query: &str) -> Result<Vec<String>, RetrievalError> {
         let terms = self.index.tokenizer().tokenize(query);
         if terms.is_empty() {
             return Err(RetrievalError::EmptyQuery);
         }
-        if k == 0 || self.index.num_docs() == 0 {
-            return Ok(Vec::new());
-        }
-        let scores = score_all(&self.index, &terms, self.params);
-        let selected = select_top_k(&scores, k, |ordinal| {
-            self.index
-                .doc_id(ordinal)
-                .expect("ordinal produced by scoring must exist")
-        });
-        Ok(self.to_ranked(selected))
+        Ok(terms)
     }
 
-    fn to_ranked(&self, selected: Vec<(u32, f64)>) -> Vec<RankedSource> {
-        selected
+    /// Dense scoring of every segment. Tombstoned ordinals are zeroed before
+    /// selection (`select_top_k` never returns non-positive scores), so dead
+    /// documents are indistinguishable from absent ones.
+    fn exhaustive(&self, terms: &[String], k: usize) -> Vec<RankedSource> {
+        self.merge(terms, k, |segment, dead, stats, _floor| {
+            let mut scores = score_all_with(segment, terms, self.params, stats);
+            for &ordinal in dead.into_iter().flatten() {
+                scores[ordinal as usize] = 0.0;
+            }
+            select_top_k(&scores, k, |ordinal| {
+                segment
+                    .doc_id(ordinal)
+                    .expect("ordinal produced by scoring must exist")
+            })
+        })
+    }
+
+    /// Run `select` over every segment with the global statistics, merging the
+    /// per-segment top-k selections exactly under the shared rank order. Once `k`
+    /// candidates exist, their k-th best score is passed to later segments as the
+    /// `floor`: a document scoring strictly below it cannot displace any of them.
+    fn merge(
+        &self,
+        terms: &[String],
+        k: usize,
+        mut select: impl FnMut(
+            &InvertedIndex,
+            Option<&HashSet<u32>>,
+            &CollectionStats<'_>,
+            Option<f64>,
+        ) -> Vec<(u32, f64)>,
+    ) -> Vec<RankedSource> {
+        let doc_freqs = self.index.doc_freqs(terms);
+        let stats = self.index.stats(&doc_freqs);
+        let mut candidates: Vec<(f64, &str, &InvertedIndex, u32)> = Vec::new();
+        let mut floor = None;
+        for (segment, dead) in self.index.segments() {
+            for (local, score) in select(segment, dead, &stats, floor) {
+                let id = segment
+                    .doc_id(local)
+                    .expect("ordinal produced by scoring must exist");
+                candidates.push((score, id, segment, local));
+            }
+            candidates.sort_by(|a, b| rank_cmp(a.0, a.1, b.0, b.1));
+            candidates.truncate(k);
+            if candidates.len() == k {
+                floor = Some(candidates[k - 1].0);
+            }
+        }
+        candidates
             .into_iter()
             .enumerate()
-            .map(|(rank, (ordinal, score))| {
-                let document = self
-                    .index
-                    .document(ordinal)
+            .map(|(rank, (score, _, segment, local))| {
+                let document = segment
+                    .document(local)
                     .expect("ordinal produced by scoring must exist")
                     .clone();
                 RankedSource {
@@ -286,44 +346,11 @@ impl Searcher {
             })
             .collect()
     }
-
-    /// Score a single document (by id) against a query, even if it would not rank top-k.
-    ///
-    /// Bit-identical to the document's entry in the dense score vector, computed
-    /// directly by probing each query term's postings (O(terms · log postings)
-    /// instead of O(corpus); see [`score_doc_with`]).
-    pub fn score_document(&self, query: &str, doc_id: &str) -> Result<f64, RetrievalError> {
-        let terms = self.index.tokenizer().tokenize(query);
-        if terms.is_empty() {
-            return Err(RetrievalError::EmptyQuery);
-        }
-        let ordinal = self
-            .index
-            .ordinal_of(doc_id)
-            .ok_or_else(|| RetrievalError::UnknownDocument(doc_id.to_string()))?;
-        let doc_freqs: Vec<usize> = terms.iter().map(|t| self.index.doc_freq(t)).collect();
-        let stats = CollectionStats {
-            num_docs: self.index.num_docs(),
-            avg_doc_len: self.index.avg_doc_len(),
-            doc_freqs: &doc_freqs,
-        };
-        Ok(score_doc_with(
-            &self.index,
-            &terms,
-            self.params,
-            &stats,
-            ordinal,
-        ))
-    }
 }
 
-impl crate::retriever::Retriever for Searcher {
+impl Retriever for Searcher {
     fn try_search(&self, query: &str, k: usize) -> Result<Vec<RankedSource>, RetrievalError> {
         Searcher::try_search(self, query, k)
-    }
-
-    fn search(&self, query: &str, k: usize) -> Vec<RankedSource> {
-        Searcher::search(self, query, k)
     }
 
     fn score_document(&self, query: &str, doc_id: &str) -> Result<f64, RetrievalError> {
@@ -332,6 +359,119 @@ impl crate::retriever::Retriever for Searcher {
 
     fn num_docs(&self) -> usize {
         self.index.num_docs()
+    }
+
+    fn corpus_version(&self) -> Option<CorpusVersion> {
+        Some(self.index.corpus_version())
+    }
+}
+
+/// A thread-safe, mutable retrieval backend: a [`Searcher`] behind a `RwLock`.
+///
+/// Queries take a read lock (and so run concurrently); mutations take the write lock
+/// and apply incrementally through the
+/// [delta/compaction contract](crate::sharded). A pipeline holding an
+/// `Arc<LiveSearcher>` observes every mutation on its next query — no rebuild, no
+/// re-wiring — and can read the current [`CorpusVersion`] through
+/// [`Retriever::corpus_version`] to invalidate anything it cached.
+#[derive(Debug)]
+pub struct LiveSearcher {
+    inner: RwLock<Searcher>,
+}
+
+impl LiveSearcher {
+    /// Wrap an existing searcher.
+    pub fn new(searcher: Searcher) -> Self {
+        Self {
+            inner: RwLock::new(searcher),
+        }
+    }
+
+    /// Partition, index and wrap a corpus in one step with defaults.
+    pub fn from_corpus(corpus: &Corpus, num_shards: usize) -> Self {
+        Self::new(Searcher::from_corpus(corpus, num_shards))
+    }
+
+    fn read(&self) -> RwLockReadGuard<'_, Searcher> {
+        self.inner.read().unwrap_or_else(|e| e.into_inner())
+    }
+
+    fn write(&self) -> RwLockWriteGuard<'_, Searcher> {
+        self.inner.write().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Add a new document; returns the new corpus version. Fails with
+    /// [`RetrievalError::DuplicateDocumentId`] when the id is already live.
+    pub fn add(&self, doc: Document) -> Result<CorpusVersion, RetrievalError> {
+        let mut inner = self.write();
+        inner.index_mut().add(doc)?;
+        Ok(inner.index().corpus_version())
+    }
+
+    /// Remove a live document by id; returns it with the new corpus version. Fails
+    /// with [`RetrievalError::UnknownDocument`] when absent.
+    pub fn remove(&self, doc_id: &str) -> Result<(Document, CorpusVersion), RetrievalError> {
+        let mut inner = self.write();
+        let doc = inner.index_mut().remove(doc_id)?;
+        Ok((doc, inner.index().corpus_version()))
+    }
+
+    /// Replace the live document carrying `doc.id`; returns the previous version of
+    /// the document with the new corpus version. Fails with
+    /// [`RetrievalError::UnknownDocument`] when absent.
+    pub fn update(&self, doc: Document) -> Result<(Document, CorpusVersion), RetrievalError> {
+        let mut inner = self.write();
+        let old = inner.index_mut().update(doc)?;
+        Ok((old, inner.index().corpus_version()))
+    }
+
+    /// Update the document if its id is live, add it otherwise; one mutation either
+    /// way. Returns the new corpus version.
+    pub fn upsert(&self, doc: Document) -> Result<CorpusVersion, RetrievalError> {
+        let mut inner = self.write();
+        if inner.index().contains(&doc.id) {
+            inner.index_mut().update(doc)?;
+        } else {
+            inner.index_mut().add(doc)?;
+        }
+        Ok(inner.index().corpus_version())
+    }
+
+    /// Compact every shard (a pure layout change; the version does not move).
+    pub fn compact(&self) {
+        self.write().index_mut().compact();
+    }
+
+    /// The current corpus identity.
+    pub fn version(&self) -> CorpusVersion {
+        self.read().index().corpus_version()
+    }
+
+    /// Override the version counter (see [`ShardedIndex::set_version`]).
+    pub fn set_version(&self, version: u64) {
+        self.write().index_mut().set_version(version);
+    }
+}
+
+impl Retriever for LiveSearcher {
+    fn try_search(&self, query: &str, k: usize) -> Result<Vec<RankedSource>, RetrievalError> {
+        self.read().try_search(query, k)
+    }
+
+    fn search(&self, query: &str, k: usize) -> Vec<RankedSource> {
+        self.read().search(query, k)
+    }
+
+    fn score_document(&self, query: &str, doc_id: &str) -> Result<f64, RetrievalError> {
+        self.read().score_document(query, doc_id)
+    }
+
+    fn num_docs(&self) -> usize {
+        self.read().index().num_docs()
+    }
+
+    fn corpus_version(&self) -> Option<CorpusVersion> {
+        Some(self.read().index().corpus_version())
     }
 }
 
@@ -519,10 +659,10 @@ mod tests {
             "",
             "registry and much other filler text here",
         ));
-        let s = Searcher::new(IndexBuilder::default().build(&corpus));
+        let index = IndexBuilder::default().build(&corpus);
 
-        let terms = s.index().tokenizer().tokenize("identical registry entry");
-        let dense = crate::bm25::score_all(s.index(), &terms, s.params());
+        let terms = index.tokenizer().tokenize("identical registry entry");
+        let dense = crate::bm25::score_all(&index, &terms, Bm25Params::default());
         for k in [1, 2, 3, 4, 5, 9, 13, 14, 20] {
             // Naive oracle: full sort under the shared rank order.
             let mut all: Vec<(u32, f64)> = dense
@@ -534,13 +674,13 @@ mod tests {
             all.sort_by(|a, b| {
                 rank_cmp(
                     a.1,
-                    s.index().doc_id(a.0).unwrap(),
+                    index.doc_id(a.0).unwrap(),
                     b.1,
-                    s.index().doc_id(b.0).unwrap(),
+                    index.doc_id(b.0).unwrap(),
                 )
             });
             all.truncate(k);
-            let got = select_top_k(&dense, k, |o| s.index().doc_id(o).unwrap());
+            let got = select_top_k(&dense, k, |o| index.doc_id(o).unwrap());
             assert_eq!(got.len(), all.len(), "k={k}");
             for (g, e) in got.iter().zip(&all) {
                 assert_eq!(g.0, e.0, "k={k}");

@@ -1,38 +1,26 @@
-//! Sharded BM25 retrieval: per-shard indexes, globally exact merged rankings, and
-//! incremental mutation through per-shard delta segments.
+//! The segmented index every [`Searcher`] reads: per-shard base segments with
+//! tombstones, per-shard delta segments, and the exact global collection statistics
+//! that make the ranking independent of how the corpus is laid out.
 //!
-//! [`ShardedSearcher`] partitions a corpus into `N` contiguous shards, builds one
-//! [`InvertedIndex`] per shard (optionally in parallel), and answers queries by merging
-//! per-shard top-k selections. The merged ranking is **bit-identical** to what a single
-//! [`Searcher`](crate::searcher::Searcher) over the whole corpus returns, for every
-//! shard count — this is the contract the sharding equivalence suite
-//! (`crates/retrieval/tests/sharding.rs`) pins.
+//! [`ShardedIndexBuilder`] partitions a corpus into `N` contiguous shards and builds
+//! one base [`InvertedIndex`] per shard, on one worker thread per shard when `N > 1`.
+//! An already-built [`InvertedIndex`] converts into a one-shard index without being
+//! re-analysed (`ShardedIndex::from`), which is how [`Searcher::new`] wraps it.
 //!
-//! Two mechanisms make exactness possible:
+//! The ranking is the same for every shard count, down to the score bits — the
+//! contract the sharding equivalence suite (`crates/retrieval/tests/sharding.rs`)
+//! pins. Two mechanisms make that exact:
 //!
 //! 1. **Global statistics.** BM25's `idf` and length normalisation depend on
 //!    collection-level statistics (document count, per-term document frequencies,
-//!    average document length). Each shard is therefore scored with the statistics of
-//!    the *whole* corpus, so every per-document score is computed from exactly the
-//!    same operands in exactly the same order as in the single-index path.
-//! 2. **Layout-free tie-breaking.** All rankings order by descending score under
-//!    `f64::total_cmp` with ties broken by ascending document id (never by an
-//!    index-local ordinal), so the ranking is a pure function of the `(document,
-//!    score)` set. Each shard's local top-k necessarily contains every member of the
-//!    global top-k that lives in that shard, which makes the merge exact rather than
-//!    approximate.
-//!
-//! Queries run through the exact dynamic-pruning engine
-//! ([`pruned_top_k`](crate::topk)): each segment is searched term-at-a-time with
-//! admissible per-term upper bounds, tombstoned ordinals excluded at candidate
-//! generation, and — because segments are visited in sequence — the running global
-//! k-th best candidate score is handed to later segments as an initial pruning
-//! threshold (a document scoring strictly below it cannot enter the merged top-k, so
-//! skipping it is exact). Every emitted score is still produced by the shared
-//! query-order rescoring kernel, preserving bit-identity; parameter settings outside
-//! the bounds' admissibility envelope fall back to exhaustive scoring
-//! ([`try_search_exhaustive`](ShardedSearcher::try_search_exhaustive), which is also
-//! the differential oracle the pruning suite compares against).
+//!    average document length). Every segment is scored with the statistics of the
+//!    *whole* corpus, so every per-document score is computed from exactly the same
+//!    operands in exactly the same order whatever segment holds the document.
+//! 2. **Layout-free tie-breaking.** Rankings order by descending score under
+//!    `f64::total_cmp` with ties broken by ascending document id (never by a
+//!    segment-local ordinal), so the ranking is a pure function of the `(document,
+//!    score)` set. Each segment's local top-k contains every member of the global
+//!    top-k that lives in it, so merging the per-segment selections is exact.
 //!
 //! ## The delta/compaction contract
 //!
@@ -52,11 +40,10 @@
 //! documents are subtracted from the per-term document frequencies they contributed
 //! to. Queries score every segment with these global stats and exclude tombstoned
 //! ordinals from candidacy, so by the two mechanisms above the ranking and every
-//! score are **bit-identical to a from-scratch
-//! [`ShardedIndexBuilder::build`]** of the current live document set — at every
-//! version. The incremental-equivalence suite
-//! (`crates/retrieval/tests/incremental.rs`) pins this across random interleavings of
-//! mutations and compactions.
+//! score are **bit-identical to a from-scratch [`ShardedIndexBuilder::build`]** of
+//! the current live document set — at every version. The incremental-equivalence
+//! suite (`crates/retrieval/tests/incremental.rs`) pins this across random
+//! interleavings of mutations and compactions.
 //!
 //! **Compaction** merges a shard's live base documents and delta documents into a new
 //! base segment and clears the tombstones. It is a pure layout change: scores,
@@ -68,19 +55,19 @@
 //! Every mutation increments the index's [`CorpusVersion`] (a fresh build is
 //! version 1) and maintains an order-independent content fingerprint; downstream
 //! caches key on the version to invalidate stale results.
+//!
+//! [`Searcher`]: crate::searcher::Searcher
+//! [`Searcher::new`]: crate::searcher::Searcher::new
 
 use std::collections::{BTreeSet, HashMap, HashSet};
-use std::sync::{Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::thread;
 
-use crate::bm25::{score_all_with, score_doc_with, Bm25Params, CollectionStats};
+use crate::bm25::CollectionStats;
 use crate::document::{Corpus, Document};
 use crate::error::RetrievalError;
 use crate::index::{IndexBuilder, InvertedIndex};
-use crate::retriever::{CorpusVersion, Retriever};
-use crate::searcher::{rank_cmp, select_top_k, RankedSource};
+use crate::retriever::CorpusVersion;
 use crate::tokenize::Tokenizer;
-use crate::topk::{prunable, pruned_top_k, ScoreWorkspace};
 
 /// A delta segment larger than this triggers automatic compaction of its shard.
 const DELTA_COMPACT_LIMIT: usize = 64;
@@ -121,13 +108,11 @@ pub fn corpus_fingerprint(corpus: &Corpus) -> u64 {
         .fold(0u64, |acc, doc| acc.wrapping_add(document_fingerprint(doc)))
 }
 
-/// Builder for [`ShardedIndex`]: how many shards, which tokenizer, and whether the
-/// per-shard indexes are built on worker threads.
+/// Builder for [`ShardedIndex`]: how many shards and which tokenizer.
 #[derive(Debug, Clone)]
 pub struct ShardedIndexBuilder {
     tokenizer: Tokenizer,
     num_shards: usize,
-    parallel_build: bool,
 }
 
 impl ShardedIndexBuilder {
@@ -143,7 +128,6 @@ impl ShardedIndexBuilder {
         Self {
             tokenizer: Tokenizer::default(),
             num_shards,
-            parallel_build: true,
         }
     }
 
@@ -153,15 +137,10 @@ impl ShardedIndexBuilder {
         self
     }
 
-    /// Build the per-shard indexes on one worker thread per shard (the default) or
-    /// sequentially on the calling thread. The built index is identical either way;
-    /// this only trades wall-clock time for threads on multicore machines.
-    pub fn with_parallel_build(mut self, parallel: bool) -> Self {
-        self.parallel_build = parallel;
-        self
-    }
-
-    /// Analyse and index every document of the corpus, one index per shard.
+    /// Analyse and index every document of the corpus, one base segment per shard.
+    /// With more than one shard, each shard is built on its own worker thread; the
+    /// results are collected in shard order, so the index does not depend on
+    /// scheduling.
     pub fn build(&self, corpus: &Corpus) -> ShardedIndex {
         let docs = corpus.documents();
         let bounds = partition_bounds(docs.len(), self.num_shards);
@@ -173,9 +152,7 @@ impl ShardedIndexBuilder {
             index_builder.build(&sub)
         };
 
-        let indexes: Vec<InvertedIndex> = if self.parallel_build && self.num_shards > 1 {
-            // PR 2's scoped-worker pattern: one thread per shard, results collected in
-            // shard order so the outcome is independent of scheduling.
+        let bases: Vec<InvertedIndex> = if self.num_shards > 1 {
             thread::scope(|scope| {
                 let build_one = &build_one;
                 let handles: Vec<_> = bounds
@@ -190,42 +167,7 @@ impl ShardedIndexBuilder {
         } else {
             bounds.iter().map(|&b| build_one(b)).collect()
         };
-
-        // Exact global statistics: summing integer token counts is order-independent,
-        // so the average equals the single-index computation bit-for-bit.
-        let num_docs = docs.len();
-        let total_len: u64 = indexes
-            .iter()
-            .flat_map(|index| (0..index.num_docs()).map(|o| u64::from(index.doc_len(o as u32))))
-            .sum();
-        let avg_doc_len = if num_docs == 0 {
-            0.0
-        } else {
-            total_len as f64 / num_docs as f64
-        };
-
-        let empty_delta = index_builder.build(&Corpus::new());
-        let shards = indexes
-            .into_iter()
-            .map(|base| Shard {
-                base,
-                dead: HashSet::new(),
-                dead_terms: HashMap::new(),
-                delta_docs: Vec::new(),
-                delta_tokens: Vec::new(),
-                delta: empty_delta.clone(),
-            })
-            .collect();
-
-        ShardedIndex {
-            shards,
-            num_docs,
-            total_len,
-            avg_doc_len,
-            tokenizer: self.tokenizer.clone(),
-            version: 1,
-            fingerprint: corpus_fingerprint(corpus),
-        }
+        ShardedIndex::from_bases(bases, self.tokenizer.clone(), corpus_fingerprint(corpus))
     }
 }
 
@@ -332,6 +274,42 @@ pub struct ShardedIndex {
 }
 
 impl ShardedIndex {
+    /// Assemble a version-1 index from per-shard base segments (empty deltas, no
+    /// tombstones). Summing integer token counts is order-independent, so the global
+    /// average equals the single-index computation bit-for-bit.
+    fn from_bases(bases: Vec<InvertedIndex>, tokenizer: Tokenizer, fingerprint: u64) -> Self {
+        let num_docs = bases.iter().map(InvertedIndex::num_docs).sum();
+        let total_len = bases
+            .iter()
+            .flat_map(|base| (0..base.num_docs() as u32).map(|o| u64::from(base.doc_len(o))))
+            .sum();
+        let empty_delta = IndexBuilder::default()
+            .with_tokenizer(tokenizer.clone())
+            .build(&Corpus::new());
+        let shards = bases
+            .into_iter()
+            .map(|base| Shard {
+                base,
+                dead: HashSet::new(),
+                dead_terms: HashMap::new(),
+                delta_docs: Vec::new(),
+                delta_tokens: Vec::new(),
+                delta: empty_delta.clone(),
+            })
+            .collect();
+        let mut index = ShardedIndex {
+            shards,
+            num_docs,
+            total_len,
+            avg_doc_len: 0.0,
+            tokenizer,
+            version: 1,
+            fingerprint,
+        };
+        index.recompute_avg();
+        index
+    }
+
     /// Number of shards (including empty ones).
     pub fn num_shards(&self) -> usize {
         self.shards.len()
@@ -517,15 +495,15 @@ impl ShardedIndex {
     }
 
     /// Global document frequencies for a whole query, parallel to `terms`.
-    fn doc_freqs(&self, terms: &[String]) -> Vec<usize> {
+    pub(crate) fn doc_freqs(&self, terms: &[String]) -> Vec<usize> {
         terms.iter().map(|t| self.doc_freq(t)).collect()
     }
 
     /// The global collection statistics every segment must be scored with. Both query
-    /// paths ([`ShardedSearcher::try_search`] and
-    /// [`ShardedSearcher::score_document`]) assemble their stats here, so the
-    /// bit-identity contract has a single implementation to keep correct.
-    fn stats<'a>(&self, doc_freqs: &'a [usize]) -> CollectionStats<'a> {
+    /// paths of [`Searcher`](crate::searcher::Searcher) (ranking and
+    /// `score_document`) assemble their stats here, so the bit-identity contract has
+    /// a single implementation to keep correct.
+    pub(crate) fn stats<'a>(&self, doc_freqs: &'a [usize]) -> CollectionStats<'a> {
         CollectionStats {
             num_docs: self.num_docs,
             avg_doc_len: self.avg_doc_len,
@@ -533,9 +511,21 @@ impl ShardedIndex {
         }
     }
 
+    /// Every non-empty segment in shard order — each shard's base with its
+    /// tombstones (`None` when it has none), then its delta.
+    pub(crate) fn segments(&self) -> impl Iterator<Item = (&InvertedIndex, Option<&HashSet<u32>>)> {
+        self.shards
+            .iter()
+            .flat_map(|shard| {
+                let dead = (!shard.dead.is_empty()).then_some(&shard.dead);
+                [(&shard.base, dead), (&shard.delta, None)]
+            })
+            .filter(|(segment, _)| segment.num_docs() > 0)
+    }
+
     /// Find the segment holding the *live* copy of a document id, with the document's
     /// segment-local ordinal. Tombstoned base entries never match.
-    fn locate(&self, doc_id: &str) -> Option<(&InvertedIndex, u32)> {
+    pub(crate) fn locate(&self, doc_id: &str) -> Option<(&InvertedIndex, u32)> {
         for shard in &self.shards {
             if let Some(local) = shard.delta.ordinal_of(doc_id) {
                 return Some((&shard.delta, local));
@@ -550,376 +540,22 @@ impl ShardedIndex {
     }
 }
 
-/// BM25 searcher over a [`ShardedIndex`], rank-identical to [`Searcher`] over the same
-/// corpus (see the [module docs](self)).
-///
-/// [`Searcher`]: crate::searcher::Searcher
-#[derive(Debug)]
-pub struct ShardedSearcher {
-    index: ShardedIndex,
-    params: Bm25Params,
-    /// Reusable sparse scoring workspace shared by every segment of a query (sized to
-    /// the largest segment touched). Queries that find it busy fall back to a
-    /// throwaway workspace — results are identical either way.
-    workspace: Mutex<ScoreWorkspace>,
-}
-
-impl Clone for ShardedSearcher {
-    fn clone(&self) -> Self {
-        Self {
-            index: self.index.clone(),
-            params: self.params,
-            workspace: Mutex::new(ScoreWorkspace::new()),
-        }
-    }
-}
-
-impl ShardedSearcher {
-    /// Create a searcher with default (Pyserini) BM25 parameters.
-    pub fn new(index: ShardedIndex) -> Self {
-        Self {
-            index,
-            params: Bm25Params::default(),
-            workspace: Mutex::new(ScoreWorkspace::new()),
-        }
-    }
-
-    /// Convenience: partition, index and wrap a corpus in one step with defaults.
-    pub fn from_corpus(corpus: &Corpus, num_shards: usize) -> Self {
-        Self::new(ShardedIndexBuilder::new(num_shards).build(corpus))
-    }
-
-    /// Override the BM25 parameters.
-    pub fn with_params(mut self, params: Bm25Params) -> Self {
-        self.params = params;
-        self
-    }
-
-    /// The underlying sharded index.
-    pub fn index(&self) -> &ShardedIndex {
-        &self.index
-    }
-
-    /// Mutable access to the underlying index, for incremental mutations.
-    pub fn index_mut(&mut self) -> &mut ShardedIndex {
-        &mut self.index
-    }
-
-    /// The BM25 parameters in use.
-    pub fn params(&self) -> Bm25Params {
-        self.params
-    }
-
-    /// Retrieve the `k` most relevant sources for `query`, most relevant first.
-    /// Identical results to [`Searcher::search`](crate::searcher::Searcher::search)
-    /// over the unpartitioned corpus.
-    pub fn search(&self, query: &str, k: usize) -> Vec<RankedSource> {
-        self.try_search(query, k).unwrap_or_default()
-    }
-
-    /// Like [`ShardedSearcher::search`] but reports empty/unanalysable queries as
-    /// errors.
-    ///
-    /// Runs the exact dynamic-pruning engine over every segment (see the
-    /// [module docs](self)); parameters outside the pruning admissibility envelope
-    /// fall back to exhaustive scoring. Either way the result is bit-identical to
-    /// [`try_search_exhaustive`](Self::try_search_exhaustive).
-    pub fn try_search(&self, query: &str, k: usize) -> Result<Vec<RankedSource>, RetrievalError> {
-        let terms = self.index.tokenizer.tokenize(query);
-        if terms.is_empty() {
-            return Err(RetrievalError::EmptyQuery);
-        }
-        if k == 0 || self.index.num_docs == 0 {
-            return Ok(Vec::new());
-        }
-        if !prunable(self.params) {
-            return self.exhaustive_with_terms(&terms, k);
-        }
-        let doc_freqs = self.index.doc_freqs(&terms);
-        let stats = self.index.stats(&doc_freqs);
-        match self.workspace.try_lock() {
-            Ok(mut ws) => self.pruned_with_terms(&terms, k, &stats, &mut ws),
-            Err(_) => self.pruned_with_terms(&terms, k, &stats, &mut ScoreWorkspace::new()),
-        }
-    }
-
-    /// Exhaustive-scoring oracle: identical results to [`try_search`](Self::try_search)
-    /// computed by densely scoring every document of every segment.
-    ///
-    /// This is the reference implementation the differential pruning suite
-    /// (`crates/retrieval/tests/pruning.rs`) and the retrieval benchmark compare
-    /// against; production queries should use [`try_search`](Self::try_search).
-    pub fn try_search_exhaustive(
-        &self,
-        query: &str,
-        k: usize,
-    ) -> Result<Vec<RankedSource>, RetrievalError> {
-        let terms = self.index.tokenizer.tokenize(query);
-        if terms.is_empty() {
-            return Err(RetrievalError::EmptyQuery);
-        }
-        if k == 0 || self.index.num_docs == 0 {
-            return Ok(Vec::new());
-        }
-        self.exhaustive_with_terms(&terms, k)
-    }
-
-    /// Pruned per-segment top-k with a running cross-segment threshold, then an exact
-    /// merge of the candidates under the shared rank order.
-    fn pruned_with_terms(
-        &self,
-        terms: &[String],
-        k: usize,
-        stats: &CollectionStats<'_>,
-        ws: &mut ScoreWorkspace,
-    ) -> Result<Vec<RankedSource>, RetrievalError> {
-        let mut candidates: Vec<(f64, &str, &InvertedIndex, u32)> = Vec::new();
-        // Once k candidates exist globally, their k-th best (exact) score is a valid
-        // initial pruning threshold for every later segment: a document scoring
-        // strictly below it cannot displace any of them in the merged ranking.
-        let mut floor: Option<f64> = None;
-        for shard in &self.index.shards {
-            let dead = (!shard.dead.is_empty()).then_some(&shard.dead);
-            let segments = [(&shard.base, dead), (&shard.delta, None)];
-            for (segment, dead) in segments {
-                if segment.num_docs() == 0 {
-                    continue;
-                }
-                let selected = pruned_top_k(segment, terms, self.params, stats, k, dead, floor, ws);
-                for (local, score) in selected {
-                    let id = segment
-                        .doc_id(local)
-                        .expect("ordinal produced by scoring must exist");
-                    candidates.push((score, id, segment, local));
-                }
-                candidates.sort_by(|a, b| rank_cmp(a.0, a.1, b.0, b.1));
-                candidates.truncate(k);
-                if candidates.len() == k {
-                    floor = Some(candidates[k - 1].0);
-                }
-            }
-        }
-        Ok(Self::to_ranked(candidates))
-    }
-
-    /// Dense scoring of every segment; tombstoned base ordinals are zeroed before
-    /// selection (`select_top_k` never returns non-positive scores), so dead documents
-    /// are indistinguishable from absent ones.
-    fn exhaustive_with_terms(
-        &self,
-        terms: &[String],
-        k: usize,
-    ) -> Result<Vec<RankedSource>, RetrievalError> {
-        let doc_freqs = self.index.doc_freqs(terms);
-        let stats = self.index.stats(&doc_freqs);
-        let mut candidates: Vec<(f64, &str, &InvertedIndex, u32)> = Vec::new();
-        for shard in &self.index.shards {
-            let mut scores = score_all_with(&shard.base, terms, self.params, &stats);
-            for &dead in &shard.dead {
-                if let Some(slot) = scores.get_mut(dead as usize) {
-                    *slot = 0.0;
-                }
-            }
-            self.select_into(&shard.base, &scores, k, &mut candidates);
-            if shard.delta.num_docs() > 0 {
-                let scores = score_all_with(&shard.delta, terms, self.params, &stats);
-                self.select_into(&shard.delta, &scores, k, &mut candidates);
-            }
-        }
-        candidates.sort_by(|a, b| rank_cmp(a.0, a.1, b.0, b.1));
-        candidates.truncate(k);
-        Ok(Self::to_ranked(candidates))
-    }
-
-    fn to_ranked(candidates: Vec<(f64, &str, &InvertedIndex, u32)>) -> Vec<RankedSource> {
-        candidates
-            .into_iter()
-            .enumerate()
-            .map(|(rank, (score, _, index, local))| {
-                let document = index
-                    .document(local)
-                    .expect("ordinal produced by scoring must exist")
-                    .clone();
-                RankedSource {
-                    doc_id: document.id.clone(),
-                    rank,
-                    score,
-                    document,
-                }
-            })
-            .collect()
-    }
-
-    fn select_into<'a>(
-        &self,
-        segment: &'a InvertedIndex,
-        scores: &[f64],
-        k: usize,
-        candidates: &mut Vec<(f64, &'a str, &'a InvertedIndex, u32)>,
-    ) {
-        let id_of = |ordinal: u32| {
-            segment
-                .doc_id(ordinal)
-                .expect("ordinal produced by scoring must exist")
-        };
-        for (local, score) in select_top_k(scores, k, id_of) {
-            candidates.push((score, id_of(local), segment, local));
-        }
-    }
-
-    /// Score a single document (by id) against a query, even if it would not rank
-    /// top-k. Bit-identical to the single-index
-    /// [`Searcher::score_document`](crate::searcher::Searcher::score_document).
-    pub fn score_document(&self, query: &str, doc_id: &str) -> Result<f64, RetrievalError> {
-        let terms = self.index.tokenizer.tokenize(query);
-        if terms.is_empty() {
-            return Err(RetrievalError::EmptyQuery);
-        }
-        let (segment, local) = self
-            .index
-            .locate(doc_id)
-            .ok_or_else(|| RetrievalError::UnknownDocument(doc_id.to_string()))?;
-        let doc_freqs = self.index.doc_freqs(&terms);
-        let stats = self.index.stats(&doc_freqs);
-        Ok(score_doc_with(segment, &terms, self.params, &stats, local))
-    }
-}
-
-impl Retriever for ShardedSearcher {
-    fn try_search(&self, query: &str, k: usize) -> Result<Vec<RankedSource>, RetrievalError> {
-        ShardedSearcher::try_search(self, query, k)
-    }
-
-    fn search(&self, query: &str, k: usize) -> Vec<RankedSource> {
-        ShardedSearcher::search(self, query, k)
-    }
-
-    fn score_document(&self, query: &str, doc_id: &str) -> Result<f64, RetrievalError> {
-        ShardedSearcher::score_document(self, query, doc_id)
-    }
-
-    fn num_docs(&self) -> usize {
-        self.index.num_docs()
-    }
-
-    fn corpus_version(&self) -> Option<CorpusVersion> {
-        Some(self.index.corpus_version())
-    }
-}
-
-/// A thread-safe, mutable retrieval backend: a [`ShardedSearcher`] behind a `RwLock`.
-///
-/// Queries take a read lock (and so run concurrently); mutations take the write lock
-/// and apply incrementally through the [delta/compaction contract](self). A pipeline
-/// holding an `Arc<LiveSearcher>` observes every mutation on its next query — no
-/// rebuild, no re-wiring — and can read the current [`CorpusVersion`] through
-/// [`Retriever::corpus_version`] to invalidate anything it cached.
-#[derive(Debug)]
-pub struct LiveSearcher {
-    inner: RwLock<ShardedSearcher>,
-}
-
-impl LiveSearcher {
-    /// Wrap an existing searcher.
-    pub fn new(searcher: ShardedSearcher) -> Self {
-        Self {
-            inner: RwLock::new(searcher),
-        }
-    }
-
-    /// Partition, index and wrap a corpus in one step with defaults.
-    pub fn from_corpus(corpus: &Corpus, num_shards: usize) -> Self {
-        Self::new(ShardedSearcher::from_corpus(corpus, num_shards))
-    }
-
-    fn read(&self) -> RwLockReadGuard<'_, ShardedSearcher> {
-        self.inner.read().unwrap_or_else(|e| e.into_inner())
-    }
-
-    fn write(&self) -> RwLockWriteGuard<'_, ShardedSearcher> {
-        self.inner.write().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Add a new document; returns the new corpus version. Fails with
-    /// [`RetrievalError::DuplicateDocumentId`] when the id is already live.
-    pub fn add(&self, doc: Document) -> Result<CorpusVersion, RetrievalError> {
-        let mut inner = self.write();
-        inner.index_mut().add(doc)?;
-        Ok(inner.index().corpus_version())
-    }
-
-    /// Remove a live document by id; returns it with the new corpus version. Fails
-    /// with [`RetrievalError::UnknownDocument`] when absent.
-    pub fn remove(&self, doc_id: &str) -> Result<(Document, CorpusVersion), RetrievalError> {
-        let mut inner = self.write();
-        let doc = inner.index_mut().remove(doc_id)?;
-        Ok((doc, inner.index().corpus_version()))
-    }
-
-    /// Replace the live document carrying `doc.id`; returns the previous version of
-    /// the document with the new corpus version. Fails with
-    /// [`RetrievalError::UnknownDocument`] when absent.
-    pub fn update(&self, doc: Document) -> Result<(Document, CorpusVersion), RetrievalError> {
-        let mut inner = self.write();
-        let old = inner.index_mut().update(doc)?;
-        Ok((old, inner.index().corpus_version()))
-    }
-
-    /// Update the document if its id is live, add it otherwise; one mutation either
-    /// way. Returns the new corpus version.
-    pub fn upsert(&self, doc: Document) -> Result<CorpusVersion, RetrievalError> {
-        let mut inner = self.write();
-        if inner.index().contains(&doc.id) {
-            inner.index_mut().update(doc)?;
-        } else {
-            inner.index_mut().add(doc)?;
-        }
-        Ok(inner.index().corpus_version())
-    }
-
-    /// Compact every shard (a pure layout change; the version does not move).
-    pub fn compact(&self) {
-        self.write().index_mut().compact();
-    }
-
-    /// The current corpus identity.
-    pub fn version(&self) -> CorpusVersion {
-        self.read().index().corpus_version()
-    }
-
-    /// Override the version counter (see [`ShardedIndex::set_version`]).
-    pub fn set_version(&self, version: u64) {
-        self.write().index_mut().set_version(version);
-    }
-}
-
-impl Retriever for LiveSearcher {
-    fn try_search(&self, query: &str, k: usize) -> Result<Vec<RankedSource>, RetrievalError> {
-        self.read().try_search(query, k)
-    }
-
-    fn search(&self, query: &str, k: usize) -> Vec<RankedSource> {
-        self.read().search(query, k)
-    }
-
-    fn score_document(&self, query: &str, doc_id: &str) -> Result<f64, RetrievalError> {
-        self.read().score_document(query, doc_id)
-    }
-
-    fn num_docs(&self) -> usize {
-        self.read().index().num_docs()
-    }
-
-    fn corpus_version(&self) -> Option<CorpusVersion> {
-        Some(self.read().index().corpus_version())
+impl From<InvertedIndex> for ShardedIndex {
+    /// Wrap an already-built index as a one-shard index (version 1, fingerprint of
+    /// its corpus). Nothing is re-analysed.
+    fn from(index: InvertedIndex) -> Self {
+        let fingerprint = corpus_fingerprint(index.corpus());
+        let tokenizer = index.tokenizer().clone();
+        Self::from_bases(vec![index], tokenizer, fingerprint)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::document::Document;
-    use crate::searcher::Searcher;
+    use crate::bm25::Bm25Params;
+    use crate::retriever::Retriever;
+    use crate::searcher::{LiveSearcher, RankedSource, Searcher};
 
     fn corpus() -> Corpus {
         let mut corpus = Corpus::new();
@@ -971,7 +607,7 @@ mod tests {
         let corpus = corpus();
         let single = Searcher::new(IndexBuilder::default().build(&corpus));
         for shards in 1..=7 {
-            let sharded = ShardedSearcher::from_corpus(&corpus, shards);
+            let sharded = Searcher::from_corpus(&corpus, shards);
             for query in [
                 "grand slam titles",
                 "djokovic federer nadal titles wins",
@@ -995,7 +631,7 @@ mod tests {
     #[test]
     fn empty_shards_are_harmless() {
         let corpus = corpus();
-        let sharded = ShardedSearcher::from_corpus(&corpus, 9);
+        let sharded = Searcher::from_corpus(&corpus, 9);
         assert_eq!(sharded.index().num_shards(), 9);
         assert!(sharded.index().shard_sizes().contains(&0));
         let hits = sharded.search("grand slam titles", 3);
@@ -1018,25 +654,10 @@ mod tests {
     }
 
     #[test]
-    fn sequential_build_is_identical_to_parallel() {
-        let corpus = corpus();
-        let parallel = ShardedSearcher::new(ShardedIndexBuilder::new(3).build(&corpus));
-        let sequential = ShardedSearcher::new(
-            ShardedIndexBuilder::new(3)
-                .with_parallel_build(false)
-                .build(&corpus),
-        );
-        assert_same_hits(
-            &parallel.search("most titles", 5),
-            &sequential.search("most titles", 5),
-        );
-    }
-
-    #[test]
     fn score_document_matches_single_index_bitwise() {
         let corpus = corpus();
         let single = Searcher::new(IndexBuilder::default().build(&corpus));
-        let sharded = ShardedSearcher::from_corpus(&corpus, 4);
+        let sharded = Searcher::from_corpus(&corpus, 4);
         for id in ["wins", "slams", "weeks", "clay", "cooking"] {
             let a = single.score_document("most grand slam titles", id).unwrap();
             let b = sharded
@@ -1056,13 +677,13 @@ mod tests {
 
     #[test]
     fn empty_query_and_empty_corpus() {
-        let sharded = ShardedSearcher::from_corpus(&corpus(), 2);
+        let sharded = Searcher::from_corpus(&corpus(), 2);
         assert!(matches!(
             sharded.try_search("the of and", 3),
             Err(RetrievalError::EmptyQuery)
         ));
         assert!(sharded.search("anything", 0).is_empty());
-        let empty = ShardedSearcher::from_corpus(&Corpus::new(), 4);
+        let empty = Searcher::from_corpus(&Corpus::new(), 4);
         assert!(empty.search("anything", 5).is_empty());
         assert_eq!(empty.index().num_docs(), 0);
     }
@@ -1072,7 +693,7 @@ mod tests {
         let corpus = corpus();
         let single = Searcher::new(IndexBuilder::default().build(&corpus))
             .with_params(Bm25Params::robertson());
-        let sharded = ShardedSearcher::from_corpus(&corpus, 3).with_params(Bm25Params::robertson());
+        let sharded = Searcher::from_corpus(&corpus, 3).with_params(Bm25Params::robertson());
         assert_same_hits(
             &single.search("grand slam titles", 5),
             &sharded.search("grand slam titles", 5),
@@ -1120,8 +741,8 @@ mod tests {
             ))
             .unwrap();
 
-        let live = ShardedSearcher::new(index.clone());
-        let rebuilt = ShardedSearcher::new(ShardedIndexBuilder::new(3).build(&mirror));
+        let live = Searcher::new(index.clone());
+        let rebuilt = Searcher::new(ShardedIndexBuilder::new(3).build(&mirror));
         assert_same_hits(
             &live.search("french open clay titles", 5),
             &rebuilt.search("french open clay titles", 5),
@@ -1137,7 +758,7 @@ mod tests {
 
         // Compaction changes layout only.
         index.compact();
-        let compacted = ShardedSearcher::new(index);
+        let compacted = Searcher::new(index);
         assert_same_hits(
             &compacted.search("french open clay titles", 5),
             &rebuilt.search("french open clay titles", 5),
@@ -1150,14 +771,14 @@ mod tests {
         // every mutation step — including with tombstones in the base segments and
         // live delta segments. The full property suite lives in tests/pruning.rs;
         // this pins the wiring.
-        let mut searcher = ShardedSearcher::from_corpus(&corpus(), 3);
+        let mut searcher = Searcher::from_corpus(&corpus(), 3);
         let queries = [
             "grand slam titles",
             "djokovic federer nadal titles wins",
             "pasta",
             "most most most weeks", // duplicate terms exercise repeat accumulation
         ];
-        let check = |s: &ShardedSearcher| {
+        let check = |s: &Searcher| {
             for query in queries {
                 for k in [1, 2, 3, 10] {
                     let pruned = s.try_search(query, k).unwrap();
@@ -1194,7 +815,7 @@ mod tests {
     #[test]
     fn exotic_params_still_answer_via_fallback() {
         let exotic = Bm25Params { k1: 0.9, b: 1.5 };
-        let searcher = ShardedSearcher::from_corpus(&corpus(), 2).with_params(exotic);
+        let searcher = Searcher::from_corpus(&corpus(), 2).with_params(exotic);
         let hits = searcher.try_search("grand slam titles", 3).unwrap();
         let oracle = searcher
             .try_search_exhaustive("grand slam titles", 3)
@@ -1252,7 +873,7 @@ mod tests {
                 "A completely different text",
             ))
             .unwrap();
-        let searcher = ShardedSearcher::new(index);
+        let searcher = Searcher::new(index);
         let score = searcher
             .score_document("completely different", "weeks")
             .unwrap();

@@ -5,8 +5,6 @@
 //! works with: Unicode-aware lowercasing word segmentation, a small English stopword
 //! list, and a conservative suffix stemmer (a light variant of the Porter S1 rules).
 
-use serde::{Deserialize, Serialize};
-
 /// English stopwords removed by the default analyzer.
 ///
 /// The list matches Lucene's `EnglishAnalyzer::ENGLISH_STOP_WORDS_SET`.
@@ -17,7 +15,7 @@ pub const ENGLISH_STOPWORDS: &[&str] = &[
 ];
 
 /// Configuration of the analysis chain.
-#[derive(Debug, Clone, Serialize, Deserialize, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AnalyzerConfig {
     /// Lowercase tokens before further processing.
     pub lowercase: bool,
@@ -44,7 +42,7 @@ impl Default for AnalyzerConfig {
 ///
 /// Both sides of retrieval must use the *same* analyzer for scores to make sense, so
 /// [`crate::index::IndexBuilder`] stores the tokenizer inside the built index.
-#[derive(Debug, Clone, Default, Serialize, Deserialize, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Tokenizer {
     config: AnalyzerConfig,
 }

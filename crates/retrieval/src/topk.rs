@@ -1,15 +1,14 @@
 //! Sparse accumulation and exact dynamic pruning for top-k queries.
 //!
-//! This module is the pruned hot path behind [`Searcher::search`] and
-//! [`ShardedSearcher::try_search`]: a term-at-a-time scorer that (a) accumulates into
-//! a reusable **sparse accumulator** so per-query cost scales with postings touched
-//! rather than corpus size, and (b) uses per-term **admissible score upper bounds** to
-//! skip non-essential postings lists MaxScore-style — while returning a top-k whose
-//! set, order and score *bits* are provably identical to the exhaustive dense path
-//! ([`score_all_with`] + full selection).
+//! This module is the pruned hot path behind [`Searcher::search`]: a term-at-a-time
+//! scorer that (a) accumulates into a reusable **sparse accumulator** so per-query
+//! cost scales with postings touched rather than corpus size, and (b) uses per-term
+//! **admissible score upper bounds** to skip non-essential postings lists
+//! MaxScore-style — while returning a top-k whose set, order and score *bits* are
+//! provably identical to the exhaustive dense path ([`score_all_with`] + full
+//! selection).
 //!
 //! [`Searcher::search`]: crate::searcher::Searcher::search
-//! [`ShardedSearcher::try_search`]: crate::sharded::ShardedSearcher::try_search
 //! [`score_all_with`]: crate::bm25::score_all_with
 //!
 //! ## How exactness survives pruning

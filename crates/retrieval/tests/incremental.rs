@@ -12,8 +12,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use rage_retrieval::{
-    corpus_fingerprint, Corpus, Document, IndexBuilder, Searcher, ShardedIndex,
-    ShardedIndexBuilder, ShardedSearcher,
+    corpus_fingerprint, Corpus, Document, IndexBuilder, Searcher, ShardedIndex, ShardedIndexBuilder,
 };
 
 const SHARD_COUNTS: &[usize] = &[1, 2, 3, 7, 16];
@@ -56,8 +55,8 @@ fn random_query(rng: &mut StdRng) -> String {
 /// transitively, to a single unsharded index): rankings, score bits, `score_document`
 /// bits and the global statistics.
 fn assert_equals_rebuild(index: &ShardedIndex, mirror: &Corpus, shards: usize, context: &str) {
-    let live = ShardedSearcher::new(index.clone());
-    let rebuilt = ShardedSearcher::new(ShardedIndexBuilder::new(shards).build(mirror));
+    let live = Searcher::new(index.clone());
+    let rebuilt = Searcher::new(ShardedIndexBuilder::new(shards).build(mirror));
     let single = Searcher::new(IndexBuilder::default().build(mirror));
 
     assert_eq!(index.num_docs(), mirror.len(), "{context}: num_docs");
@@ -199,7 +198,7 @@ fn removing_every_document_guards_the_avg_doc_len_zero_path() {
             0f64.to_bits(),
             "shards={shards}"
         );
-        assert!(ShardedSearcher::new(index.clone())
+        assert!(Searcher::new(index.clone())
             .search("grand slam", 5)
             .is_empty());
 

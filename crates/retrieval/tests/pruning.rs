@@ -12,9 +12,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use rage_retrieval::searcher::RankedSource;
-use rage_retrieval::{
-    Bm25Params, Corpus, Document, IndexBuilder, Searcher, ShardedIndexBuilder, ShardedSearcher,
-};
+use rage_retrieval::{Bm25Params, Corpus, Document, IndexBuilder, Searcher, ShardedIndexBuilder};
 
 const SHARD_COUNTS: &[usize] = &[1, 2, 3, 7, 16];
 
@@ -99,7 +97,7 @@ fn assert_same_ranking(oracle: &[RankedSource], pruned: &[RankedSource], context
     }
 }
 
-fn check_sharded(searcher: &ShardedSearcher, n: usize, context: &str) {
+fn check_sharded(searcher: &Searcher, n: usize, context: &str) {
     for query in queries() {
         for k in [1, 3, 10, n / 2 + 1, n, n + 13] {
             let oracle = searcher.try_search_exhaustive(&query, k).unwrap();
@@ -114,7 +112,7 @@ fn property_pruned_equals_exhaustive_across_shard_counts() {
     for &shards in SHARD_COUNTS {
         for (seed, n) in [(41, 30), (42, 120), (43, 500)] {
             let corpus = random_corpus(seed, n);
-            let searcher = ShardedSearcher::new(ShardedIndexBuilder::new(shards).build(&corpus));
+            let searcher = Searcher::new(ShardedIndexBuilder::new(shards).build(&corpus));
             check_sharded(&searcher, n, &format!("shards={shards} n={n}"));
         }
     }
@@ -149,7 +147,7 @@ fn property_pruned_equals_exhaustive_under_mutation_interleavings() {
     // equivalence of the mutated index itself is pinned by tests/incremental.rs.)
     for &shards in [1, 3, 16].iter() {
         let mut searcher =
-            ShardedSearcher::new(ShardedIndexBuilder::new(shards).build(&random_corpus(1234, 50)));
+            Searcher::new(ShardedIndexBuilder::new(shards).build(&random_corpus(1234, 50)));
         let mut rng = StdRng::seed_from_u64(0xBEEF ^ shards as u64);
         let mut next_id = 0usize;
         let mut live_ids: Vec<String> = (0..50).map(|i| format!("doc-{i:04}")).collect();
@@ -207,7 +205,7 @@ fn tie_saturated_corpora_rank_identically() {
         ));
     }
     for &shards in SHARD_COUNTS {
-        let searcher = ShardedSearcher::new(ShardedIndexBuilder::new(shards).build(&corpus));
+        let searcher = Searcher::new(ShardedIndexBuilder::new(shards).build(&corpus));
         for k in [1, 3, 4, 5, 16, 19, 20, 21, 40] {
             let oracle = searcher.try_search_exhaustive("quasar index", k).unwrap();
             let pruned = searcher.try_search("quasar index", k).unwrap();

@@ -1,5 +1,5 @@
-//! The sharding equivalence suite: `ShardedSearcher` must be indistinguishable from
-//! `Searcher` — identical document sets, identical order, bit-identical scores — for
+//! The sharding equivalence suite: a `Searcher` over any number of shards must be
+//! indistinguishable from one over a single index — identical document sets, identical order, bit-identical scores — for
 //! every shard count, corpus shape and query, including the edge cases (k larger than
 //! a shard or the corpus, empty shards, exact score ties).
 //!
@@ -10,8 +10,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use rage_retrieval::{
-    Bm25Params, Corpus, Document, IndexBuilder, Retriever, Searcher, ShardedIndexBuilder,
-    ShardedSearcher,
+    corpus_fingerprint, Bm25Params, Corpus, CorpusVersion, Document, IndexBuilder, Retriever,
+    Searcher, ShardedIndexBuilder,
 };
 
 const SHARD_COUNTS: &[usize] = &[1, 2, 3, 7, 16];
@@ -57,7 +57,7 @@ fn random_query(rng: &mut StdRng) -> String {
 /// Full equivalence: same ids, same ranks, bit-identical scores, same documents.
 fn assert_hits_identical(
     single: &Searcher,
-    sharded: &ShardedSearcher,
+    sharded: &Searcher,
     query: &str,
     k: usize,
     context: &str,
@@ -87,7 +87,7 @@ fn property_sharded_top_k_equals_single_top_k() {
         let corpus = random_corpus(seed, num_docs);
         let single = Searcher::new(IndexBuilder::default().build(&corpus));
         for &shards in SHARD_COUNTS {
-            let sharded = ShardedSearcher::from_corpus(&corpus, shards);
+            let sharded = Searcher::from_corpus(&corpus, shards);
             let mut rng = StdRng::seed_from_u64(seed ^ 0xABCD);
             for _ in 0..12 {
                 let query = random_query(&mut rng);
@@ -111,7 +111,7 @@ fn k_larger_than_any_shard_still_merges_exactly() {
     // merge must pull deep results from every shard, not just shard-local winners.
     let corpus = random_corpus(21, 33);
     let single = Searcher::new(IndexBuilder::default().build(&corpus));
-    let sharded = ShardedSearcher::from_corpus(&corpus, 7);
+    let sharded = Searcher::from_corpus(&corpus, 7);
     for query in ["grand slam", "clay court rank", "win"] {
         assert_hits_identical(&single, &sharded, query, 20, "k > shard size");
         assert_hits_identical(&single, &sharded, query, 40, "k > corpus size");
@@ -123,7 +123,7 @@ fn empty_shards_do_not_disturb_results() {
     // 4 documents across 16 shards: at least 12 shards are empty.
     let corpus = random_corpus(31, 4);
     let single = Searcher::new(IndexBuilder::default().build(&corpus));
-    let sharded = ShardedSearcher::from_corpus(&corpus, 16);
+    let sharded = Searcher::from_corpus(&corpus, 16);
     assert_eq!(sharded.index().num_shards(), 16);
     assert_eq!(
         sharded
@@ -159,7 +159,7 @@ fn equal_score_duplicates_merge_in_id_order_for_every_shard_count() {
 
     let single = Searcher::new(IndexBuilder::default().build(&corpus));
     for &shards in SHARD_COUNTS {
-        let sharded = ShardedSearcher::from_corpus(&corpus, shards);
+        let sharded = Searcher::from_corpus(&corpus, shards);
         let hits = sharded.search("grand slam title match", 8);
         let ids: Vec<&str> = hits.iter().map(|h| h.doc_id.as_str()).collect();
         assert_eq!(
@@ -183,7 +183,7 @@ fn score_document_is_bit_identical_for_every_shard_count() {
     let corpus = random_corpus(41, 30);
     let single = Searcher::new(IndexBuilder::default().build(&corpus));
     for &shards in SHARD_COUNTS {
-        let sharded = ShardedSearcher::from_corpus(&corpus, shards);
+        let sharded = Searcher::from_corpus(&corpus, shards);
         for doc in corpus.iter() {
             let a = single.score_document("grand slam win", &doc.id).unwrap();
             let b = sharded.score_document("grand slam win", &doc.id).unwrap();
@@ -198,12 +198,8 @@ fn equivalence_holds_under_custom_params_and_sequential_build() {
     let single =
         Searcher::new(IndexBuilder::default().build(&corpus)).with_params(Bm25Params::robertson());
     for &shards in SHARD_COUNTS {
-        let sharded = ShardedSearcher::new(
-            ShardedIndexBuilder::new(shards)
-                .with_parallel_build(false)
-                .build(&corpus),
-        )
-        .with_params(Bm25Params::robertson());
+        let sharded = Searcher::new(ShardedIndexBuilder::new(shards).build(&corpus))
+            .with_params(Bm25Params::robertson());
         assert_hits_identical(&single, &sharded, "clay court final", 10, "robertson");
     }
 }
@@ -213,11 +209,39 @@ fn both_backends_agree_through_the_retriever_trait() {
     let corpus = random_corpus(61, 40);
     let backends: Vec<Box<dyn Retriever>> = vec![
         Box::new(Searcher::new(IndexBuilder::default().build(&corpus))),
-        Box::new(ShardedSearcher::from_corpus(&corpus, 5)),
+        Box::new(Searcher::from_corpus(&corpus, 5)),
+        Box::new(Searcher::from_corpus(&corpus, 1)),
     ];
     let reference = backends[0].search("grand slam title", 10);
     for backend in &backends {
         assert_eq!(backend.num_docs(), 40);
         assert_eq!(backend.search("grand slam title", 10), reference);
+        // Wrapping a built index and building one segment from the corpus agree on
+        // score bits, per-document scores and the corpus identity.
+        let hits = backend.search("grand slam title", 10);
+        for (hit, want) in hits.iter().zip(&reference) {
+            assert_eq!(hit.score.to_bits(), want.score.to_bits(), "{}", hit.doc_id);
+        }
+        for doc in corpus.iter() {
+            assert_eq!(
+                backend
+                    .score_document("grand slam win", &doc.id)
+                    .unwrap()
+                    .to_bits(),
+                backends[0]
+                    .score_document("grand slam win", &doc.id)
+                    .unwrap()
+                    .to_bits(),
+                "{}",
+                doc.id
+            );
+        }
+        assert_eq!(
+            backend.corpus_version(),
+            Some(CorpusVersion {
+                version: 1,
+                fingerprint: corpus_fingerprint(&corpus),
+            })
+        );
     }
 }

@@ -1,6 +1,6 @@
-//! Sharded retrieval over the large-corpus scenario: partition a 2k+ document corpus,
-//! query it through the `Retriever`-generic pipeline, and verify the sharded answer —
-//! and the whole ranked context — is identical to the single-index one.
+//! Sharded retrieval over the large-corpus scenario: split a 2k+ document corpus into
+//! 8 index segments, query it through the `Retriever`-generic pipeline, and verify the
+//! answer — and the whole ranked context — is identical to a one-segment searcher's.
 //!
 //! Run with `cargo run --release --example sharded_retrieval`.
 
@@ -21,22 +21,21 @@ fn main() -> Result<(), RageError> {
         scenario.retrieval_k
     );
 
-    // 2. Build both backends. The sharded build indexes each partition on its own
-    //    worker thread (one per shard).
+    // 2. Build two searchers: one over a single index, one over 8 segments. The
+    //    sharded build indexes each segment on its own worker thread.
     let started = Instant::now();
     let single = Searcher::new(IndexBuilder::default().build(&scenario.corpus));
     let single_build = started.elapsed();
     let started = Instant::now();
-    let sharded = ShardedSearcher::new(ShardedIndexBuilder::new(8).build(&scenario.corpus));
+    let sharded = Searcher::new(ShardedIndexBuilder::new(8).build(&scenario.corpus));
     let sharded_build = started.elapsed();
     println!(
         "index build: single {single_build:?}, 8 shards {sharded_build:?} (sizes {:?})",
         sharded.index().shard_sizes()
     );
 
-    // 3. The pipeline is generic over `Retriever`, so both backends wire in the same
-    //    way — and, because sharded rankings are identical by construction, both
-    //    pipelines retrieve the same context and answer identically.
+    // 3. The ranking does not depend on the segment count, so both pipelines
+    //    retrieve the same context and answer identically.
     let llm = Arc::new(SimLlm::new(
         SimLlmConfig::default().with_prior(scenario.prior.clone()),
     ));
@@ -48,7 +47,7 @@ fn main() -> Result<(), RageError> {
     assert_eq!(a, b, "sharded retrieval must be indistinguishable");
 
     println!("Q: {}", scenario.question);
-    println!("A: {} (identical through both backends)", a.answer());
+    println!("A: {} (identical through both searchers)", a.answer());
     println!(
         "context: {:?}",
         a.context
@@ -58,8 +57,8 @@ fn main() -> Result<(), RageError> {
             .collect::<Vec<_>>()
     );
 
-    // 4. Even the per-document scores agree bit-for-bit: shards are scored with the
-    //    *global* BM25 statistics, so partitioning never changes a single bit.
+    // 4. Even the per-document scores agree bit-for-bit: segments are scored with
+    //    the *global* BM25 statistics, so partitioning never changes a single bit.
     for source in &a.context.sources {
         let x = single_pipeline
             .retriever()
