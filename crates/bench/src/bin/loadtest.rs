@@ -13,7 +13,9 @@
 //! client threads each issue `--requests` requests in a fixed rotation of the
 //! serving endpoints (`GET /scenarios`, `GET /report?format=json`, the
 //! same report with `deadline_ms=50` — the anytime SLO path, measured as its
-//! own `report_anytime` bucket — and `POST /ask`), plus an `entity_resolve`
+//! own `report_anytime` bucket; anytime reports are never cached, so every
+//! such request generates afresh and the bucket reads the deadline plus its
+//! overshoot — and `POST /ask`), plus an `entity_resolve`
 //! bucket: batch entity-resolution lookups (`POST /ask` against the
 //! `entity_registry` scenario, rotating through the three affiliation query
 //! forms). That bucket measures the `/ask` forward pass over a k=10 prompt

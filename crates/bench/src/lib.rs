@@ -223,7 +223,7 @@ impl Runner {
         }
     }
 
-    /// Run and record one case (see the free [`bench`] function).
+    /// Run and record one case (see the free [`bench()`] function).
     pub fn bench<F: FnMut()>(&mut self, name: &str, iters: u64, f: F) -> BenchResult {
         let result = bench(name, iters, f);
         self.results.push(result.clone());

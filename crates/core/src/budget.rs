@@ -20,8 +20,8 @@
 //!   or ran out of wall-clock time ([`Completeness::DeadlineTruncated`]).
 //!
 //! The report layer (`rage-report`) carries the per-section markers into the
-//! versioned JSON schema, the HTTP service keys its cache on the deadline so
-//! anytime reports never poison exact ones, and the server/CLI expose the knob
+//! versioned JSON schema, the HTTP service never caches anytime reports (they
+//! depend on wall clock and load), and the server/CLI expose the knob
 //! as `deadline_ms=` / `--anytime <ms>`.
 
 use std::time::{Duration, Instant};

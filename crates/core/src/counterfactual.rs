@@ -16,7 +16,7 @@
 //!   original order — the least disruptive re-orderings first;
 //! * every search runs under a [`SearchBudget`] — an evaluation cap plus an
 //!   optional monotonic [`Deadline`](crate::budget::Deadline) — checked at
-//!   batch boundaries; the [`Evaluator`] caches and counts the underlying LLM
+//!   batch boundaries; the [`Evaluator`](crate::evaluator::Evaluator) caches and counts the underlying LLM
 //!   calls (cost metric of experiment E7);
 //! * with [`CounterfactualConfig::with_pruning`], the combination search may
 //!   additionally *prune* candidates under a monotonicity bound: a candidate
@@ -29,7 +29,11 @@
 //!   restores the prior answer — so pruning is opt-in, never enabled on the
 //!   report or anytime paths, and its behaviour on both monotone and
 //!   non-monotone evaluators is pinned by the differential suite
-//!   (`crates/core/tests/differential.rs`).
+//!   (`crates/core/tests/differential.rs`). No served path enables it. It
+//!   stays for now because the benchmark harness builds a
+//!   `CounterfactualConfig` by struct literal with `prune: false`
+//!   (`servebench/src/trace.rs`), so removing the field breaks the benchmark
+//!   build; the removal waits for the next change to the benchmark.
 //!
 //! Every outcome carries a [`Completeness`] marker stating whether the search
 //! resolved its whole space or was truncated by the cap, the deadline or the

@@ -3,7 +3,8 @@
 //! [`RageReport`] runs every explanation the engine offers over one
 //! (question, context) pair — top-down and bottom-up combination
 //! counterfactuals, the permutation counterfactual, best/worst optimal
-//! permutations and permutation insights — sharing a single [`Evaluator`]
+//! permutations and permutation insights — sharing a single
+//! [`Evaluator`](crate::evaluator::Evaluator)
 //! cache so overlapping perturbations are never paid for twice. This is the
 //! object the demonstration UI of the paper renders, and what `rage-report`
 //! turns into markdown.
@@ -158,6 +159,17 @@ impl RageReport {
     /// not (see the counterfactual module docs), so an anytime report only
     /// ever truncates — it never skips work that could change an answer.
     /// With `deadline = None` this is exactly [`RageReport::generate`].
+    ///
+    /// **Overshoot bound.** The baseline answers (full and empty context) are
+    /// computed even when the deadline has already passed, so an expired
+    /// deadline still costs up to two LLM calls, and no more. Every search
+    /// checks the deadline before each evaluation window and never inside
+    /// one, so once the deadline passes a generation finishes at most the one
+    /// window in flight — at most [`Evaluate::preferred_batch`] candidates —
+    /// and every later section stops before its first window. The time spent
+    /// past the deadline is therefore bounded by the baseline answers plus
+    /// one evaluation window (plus the bookkeeping between windows, which
+    /// makes no model call).
     pub fn generate_with_deadline<E: Evaluate + ?Sized>(
         evaluator: &E,
         config: &ReportConfig,
@@ -322,9 +334,13 @@ impl RageReport {
 mod tests {
     use super::*;
     use rage_llm::model::{SimLlm, SimLlmConfig};
+    use rage_llm::{Generation, LanguageModel, LlmInput};
     use rage_retrieval::{Corpus, Document, IndexBuilder, Searcher};
+    use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
 
+    use crate::context::Context;
+    use crate::evaluator::{Evaluator, ParallelEvaluator};
     use crate::pipeline::RagPipeline;
 
     fn pipeline() -> RagPipeline {
@@ -480,6 +496,75 @@ mod tests {
         ));
         assert!(report.best_orders.is_empty());
         assert_eq!(report.insights.num_samples, 0);
+        // Exactly the two baseline answers reached the model.
+        assert_eq!(report.llm_calls, 2);
+        assert_eq!(report.evaluations, 2);
+    }
+
+    /// Answers the same thing for every context, so no search ends early;
+    /// its `stall_at`-th call (1-based) blocks until `deadline` has passed.
+    struct StallingLlm {
+        calls: AtomicUsize,
+        stall_at: usize,
+        deadline: Deadline,
+    }
+
+    impl LanguageModel for StallingLlm {
+        fn generate(&self, input: &LlmInput) -> Generation {
+            if self.calls.fetch_add(1, Ordering::SeqCst) + 1 == self.stall_at {
+                while !self.deadline.expired() {
+                    std::thread::sleep(std::time::Duration::from_millis(1));
+                }
+            }
+            Generation {
+                answer: "same".into(),
+                text: "same".into(),
+                source_attention: vec![1.0; input.sources.len()],
+                prompt_tokens: 1,
+            }
+        }
+    }
+
+    #[test]
+    fn a_call_past_the_deadline_overshoots_by_at_most_one_window() {
+        const STALL_AT: usize = 5;
+        let docs: Vec<Document> = ["a", "b", "c", "d"]
+            .iter()
+            .map(|id| Document::new(*id, "", format!("text {id}")))
+            .collect();
+        let context = Context::from_documents("which one?", &docs);
+        // Window 1 is the sequential evaluator; wider windows go through the
+        // worker pool, where the calls of one window run concurrently.
+        for window in [1, 4, 16] {
+            // The stub's first calls return at once, so only the stalled
+            // call can outlast the deadline.
+            let deadline = Deadline::after_ms(200);
+            let llm = Arc::new(StallingLlm {
+                calls: AtomicUsize::new(0),
+                stall_at: STALL_AT,
+                deadline,
+            });
+            let sequential =
+                Evaluator::new(Arc::clone(&llm) as Arc<dyn LanguageModel>, context.clone());
+            let evaluator: Box<dyn Evaluate> = if window == 1 {
+                Box::new(sequential)
+            } else {
+                Box::new(ParallelEvaluator::new(sequential, 2).with_batch_window(window))
+            };
+            let report = RageReport::generate_with_deadline(
+                evaluator.as_ref(),
+                &ReportConfig::default(),
+                Some(deadline),
+            )
+            .unwrap();
+            let calls = llm.calls.load(Ordering::SeqCst);
+            assert_eq!(report.llm_calls, calls, "window {window}");
+            assert!(!report.all_sections_exact(), "window {window}");
+            // The stalled call ran, and after it at most the rest of its
+            // window did.
+            assert!(calls >= STALL_AT, "window {window}: {calls} calls");
+            assert!(calls - STALL_AT < window, "window {window}: {calls} calls");
+        }
     }
 
     #[test]

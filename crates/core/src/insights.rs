@@ -6,7 +6,7 @@
 //! contexts producing each answer and at which prompt position, and which
 //! simple presence/absence rules ("whenever source `d` is present the answer
 //! is `a`") hold with high confidence. Samples are evaluated through the
-//! [`Evaluator`], so repeated perturbations cost nothing.
+//! [`Evaluator`](crate::evaluator::Evaluator), so repeated perturbations cost nothing.
 
 use std::collections::BTreeMap;
 

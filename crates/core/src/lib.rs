@@ -29,17 +29,17 @@
 //! * [`answer`] — answer normalisation (lowercase, strip punctuation, trim).
 //! * [`budget`] — the unified cost-control layer: [`SearchBudget`], monotonic
 //!   [`Deadline`]s and per-search [`Completeness`] markers.
-//! * [`pipeline`] — [`RagPipeline`](pipeline::RagPipeline): retrieval + LLM end to end.
+//! * [`pipeline`] — [`RagPipeline`]: retrieval + LLM end to end.
 //! * [`perturbation`] — combination/permutation perturbations and their application.
 //! * [`evaluator`] — cached, counted evaluation of perturbed contexts against the LLM:
-//!   the [`Evaluate`](evaluator::Evaluate) trait, the sequential
-//!   [`Evaluator`](evaluator::Evaluator) and the worker-pool
-//!   [`ParallelEvaluator`](evaluator::ParallelEvaluator).
+//!   the [`Evaluate`] trait, the sequential
+//!   [`Evaluator`] and the worker-pool
+//!   [`ParallelEvaluator`].
 //! * [`scoring`] — the two source-relevance estimators `S(q, d, Dq)`.
 //! * [`counterfactual`] — top-down, bottom-up and permutation counterfactual search.
 //! * [`insights`] — answer distributions, rules and tables over perturbation samples.
 //! * [`optimal`] — optimal permutations via k-best assignment (and the naive baseline).
-//! * [`explanation`] — the assembled [`RageReport`](explanation::RageReport).
+//! * [`explanation`] — the assembled [`RageReport`].
 //!
 //! ## Quick start
 //!

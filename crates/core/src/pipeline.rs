@@ -91,27 +91,32 @@ impl<R: Retriever> RagPipeline<R> {
     /// miss) and with [`RageError::EmptyContext`] when nothing relevant is retrieved,
     /// since there would be no context to explain.
     pub fn ask(&self, query: &str, k: usize) -> Result<RagResponse, RageError> {
-        Self::validate_k(k)?;
+        let context = self.retrieve(query, k)?;
+        self.answer_with_context(context)
+    }
+
+    /// Retrieve the top-`k` sources for `query` as a context, without asking
+    /// the model anything.
+    ///
+    /// Fails exactly like [`ask`](RagPipeline::ask): with
+    /// [`RageError::InvalidArgument`] when `k` is zero and with
+    /// [`RageError::EmptyContext`] when nothing relevant is retrieved.
+    pub fn retrieve(&self, query: &str, k: usize) -> Result<Context, RageError> {
+        // Reject `k = 0` up front: retrieval would dutifully return zero hits
+        // and surface as `EmptyContext`, misdiagnosing a malformed request as
+        // "nothing relevant was retrieved".
+        if k == 0 {
+            return Err(RageError::InvalidArgument {
+                reason: "retrieval count k must be at least 1".to_string(),
+            });
+        }
         let hits = self.retriever.try_search(query, k)?;
         if hits.is_empty() {
             return Err(RageError::EmptyContext {
                 query: query.to_string(),
             });
         }
-        let context = Context::from_ranked(query, &hits);
-        self.answer_with_context(context)
-    }
-
-    /// Reject `k = 0` up front: retrieval would dutifully return zero hits and
-    /// surface as [`RageError::EmptyContext`], misdiagnosing a malformed request
-    /// as "nothing relevant was retrieved".
-    fn validate_k(k: usize) -> Result<(), RageError> {
-        if k == 0 {
-            return Err(RageError::InvalidArgument {
-                reason: "retrieval count k must be at least 1".to_string(),
-            });
-        }
-        Ok(())
+        Ok(Context::from_ranked(query, &hits))
     }
 
     /// Answer over a caller-supplied context (bypassing retrieval).
@@ -139,16 +144,7 @@ impl<R: Retriever> RagPipeline<R> {
         // Retrieve every context first (cheap), collecting per-query errors.
         let contexts: Vec<Result<Context, RageError>> = queries
             .iter()
-            .map(|query| {
-                Self::validate_k(k)?;
-                let hits = self.retriever.try_search(query, k)?;
-                if hits.is_empty() {
-                    return Err(RageError::EmptyContext {
-                        query: (*query).to_string(),
-                    });
-                }
-                Ok(Context::from_ranked(*query, &hits))
-            })
+            .map(|query| self.retrieve(query, k))
             .collect();
 
         // One batched inference over the successful retrievals.

@@ -204,7 +204,7 @@ pub fn exact_reciprocal(d: f64) -> Option<f64> {
 /// `out[k] = dot(query, keys[k]) * scale` for every row `k` of `keys`.
 ///
 /// `keys` is a flat row-major `out.len() × key_dim` buffer. Keys are
-/// processed [`BLOCK`] at a time with one independent accumulator each; every
+/// processed `BLOCK` at a time with one independent accumulator each; every
 /// accumulator starts at `-0.0` — the identity element `Iterator::sum`
 /// uses for floats — and adds `query[d] * key[d]` in ascending `d` order,
 /// which is exactly the operation sequence of the reference `dot(a, b)`
@@ -250,7 +250,7 @@ pub fn scores_into(query: &[f64], keys: &[f64], key_dim: usize, scale: f64, out:
 /// Dense row-major matrix–vector product: `out[r] = dot(matrix.row(r), x)`.
 ///
 /// Used for the per-head query/key projection of one token's hidden state.
-/// Rows are blocked [`BLOCK`] at a time; each row's accumulation is the
+/// Rows are blocked `BLOCK` at a time; each row's accumulation is the
 /// reference `dot` sequence, so results are bit-identical to projecting row
 /// by row.
 pub fn matvec_into(matrix: &[f64], rows: usize, cols: usize, x: &[f64], out: &mut [f64]) {
@@ -293,7 +293,7 @@ pub fn weights_inplace(scores: &mut [f64], sum: f64) {
 ///
 /// For every key `k` (ascending) and dimension `d` the reference performs
 /// `out[d] += weights[k] * values[k][d] / heads`; this kernel performs the
-/// same per-scalar additions in the same `k` order, but processes [`BLOCK`]
+/// same per-scalar additions in the same `k` order, but processes `BLOCK`
 /// key rows per pass over `out` so the accumulator row stays in registers.
 /// When `heads` is a power of two the division is replaced by an exact
 /// reciprocal multiplication (see [`exact_reciprocal`]); otherwise the

@@ -23,7 +23,7 @@
 //!   evidence aggregation, so removing a supporting source can flip the answer
 //!   (combination counterfactuals);
 //! * a configurable positional prior reproduces the "lost in the middle" bias of ref.
-//!   [2] of the paper, so re-ordering sources can flip the answer (permutation
+//!   \[2\] of the paper, so re-ordering sources can flip the answer (permutation
 //!   counterfactuals and optimal permutations);
 //! * a prior-knowledge store answers the empty-context case (bottom-up counterfactuals)
 //!   and competes with weak context evidence (hallucination-style behaviour);

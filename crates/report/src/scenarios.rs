@@ -1,7 +1,7 @@
 //! Demonstration-scenario plumbing shared by the `report` binary and tests.
 //!
 //! All scenario wiring is registry-driven: the shared
-//! [`ScenarioRegistry`](rage_datasets::ScenarioRegistry) (see [`registry`]) maps CLI
+//! [`ScenarioRegistry`] (see [`registry`]) maps CLI
 //! names onto [`rage_datasets`] generators with their metadata, so the binary, the
 //! smoke job and the golden tests enumerate one source of truth instead of a hardcoded
 //! list. [`report_for`] runs a full explanation over a scenario with the standard

@@ -24,14 +24,18 @@
 //!   (PR 2/PR 4 differential suites), so *sharing state never changes
 //!   results* — `tests` below pin service output against the uncached
 //!   [`scenarios::report_for`] oracle.
-//! * **Report cache** — full [`RageReport`]s are memoised behind `Arc` under
-//!   a [`ReportKey`] of `(scenario, report-config fingerprint, shards,
-//!   schema_version, corpus_version, deadline_ms)`. Reports are deterministic
-//!   *given a corpus version*, so a cached report is exactly what
-//!   regeneration would produce; the schema version is part of the key so a
-//!   future v3 can never serve v2 cache entries, and the anytime deadline is
-//!   part of the key so deadline-truncated reports can never poison the
-//!   exact cache.
+//! * **Report store** — each corpus state keeps the exact [`RageReport`]s
+//!   generated against it behind `Arc`, keyed by corpus version alone and
+//!   capped at [`MAX_CACHED_VERSIONS`] versions (the oldest is evicted on
+//!   insert). Nothing else can change a report's bytes: the report
+//!   configuration and schema version are fixed for the life of a service,
+//!   and the shard count is not part of the key because every shard count
+//!   ranks identically (pinned by `crates/report/tests/sharded.rs`). The whole
+//!   store therefore holds at most `registry size × MAX_CACHED_VERSIONS`
+//!   reports.
+//! * **Anytime reports** — a deadline-bounded report depends on wall clock and
+//!   load, so [`Service::report_with_deadline`] with a deadline always
+//!   generates afresh and neither reads nor writes the store.
 //! * **Error taxonomy** — [`ServiceError`] splits caller mistakes (unknown
 //!   scenario/format, invalid `k` or shard count, unanswerable query,
 //!   duplicate document id) from engine failures, so transports can map them
@@ -43,13 +47,11 @@
 //! keys on (or is cleared by) the corpus version, so no byte generated
 //! against corpus version `N` can ever be served for version `M ≠ N`:
 //!
-//! 1. **Report cache** — [`ReportKey`] embeds the corpus version. A mutation
-//!    therefore *misses* the cache on the next request (a fresh report is
-//!    generated and stamped with the new version) without touching other
-//!    scenarios' entries. Entries for superseded versions are retained —
-//!    they are what [`Service::diff_reports`] serves historical versions
-//!    from — but at most [`MAX_CACHED_VERSIONS`] distinct versions per
-//!    scenario; older ones are pruned on mutation.
+//! 1. **Report store** — keyed by corpus version. A mutation therefore
+//!    *misses* on the next request (a fresh report is generated and stamped
+//!    with the new version) without touching other scenarios' stores. Reports
+//!    of superseded versions stay until evicted — they are what
+//!    [`Service::diff_reports`] serves historical versions from.
 //! 2. **Prefix cache** — entries are pure functions of `(token, position)`
 //!    and the model seed, so a mutation cannot make them *wrong*; they are
 //!    cleared anyway on every mutation so no state predating the mutation
@@ -65,15 +67,16 @@
 //! Every input that sizes a resource is validated *before* the resource is
 //! built: shard counts are capped at [`MAX_SHARDS`] (bounding the runtime
 //! map), corpora at [`MAX_CORPUS_DOCS`] (bounding what a remote-reachable
-//! mutation stream can grow) — untrusted parameters can neither spawn thread
-//! storms nor grow memory without limit.
+//! mutation stream can grow) and report stores at [`MAX_CACHED_VERSIONS`] —
+//! untrusted parameters can neither spawn thread storms nor grow memory
+//! without limit.
 //!
 //! The service is `Sync`; the HTTP server shares one `Arc<Service>` across
 //! its worker pool, and the CLI uses a short-lived instance for a single
 //! render — the exact same path, which is what makes the server's
 //! `/report?format=json` byte-identical to `report --format json`.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
@@ -86,7 +89,7 @@ use rage_retrieval::{corpus_fingerprint, Document, LiveSearcher, RetrievalError,
 
 use crate::diff::{diff, ReportDiff};
 use crate::scenarios;
-use crate::{render_html, render_markdown, to_json, SCHEMA_VERSION};
+use crate::{render_html, render_markdown, to_json};
 
 /// Output format of a rendered report.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -276,7 +279,8 @@ fn mutation_error(err: RetrievalError) -> ServiceError {
     }
 }
 
-/// The authoritative corpus of one scenario plus its version counter.
+/// The authoritative corpus of one scenario, its version counter and the
+/// exact reports generated against it.
 ///
 /// `scenario.corpus` starts as the registry seed (version 1); every accepted
 /// mutation advances `version` by exactly one. All runtimes of the scenario
@@ -285,6 +289,9 @@ fn mutation_error(err: RetrievalError) -> ServiceError {
 struct CorpusState {
     scenario: Scenario,
     version: u64,
+    /// Exact reports by the corpus version they describe, at most
+    /// [`MAX_CACHED_VERSIONS`] of them.
+    reports: BTreeMap<u64, Arc<RageReport>>,
 }
 
 impl CorpusState {
@@ -294,6 +301,17 @@ impl CorpusState {
             fingerprint: corpus_fingerprint(&self.scenario.corpus),
             num_docs: self.scenario.corpus.len(),
         }
+    }
+
+    /// Store the exact report of the current version and evict the oldest
+    /// version past the cap. A report a concurrent request stored first wins;
+    /// both are identical.
+    fn store(&mut self, report: Arc<RageReport>) -> Arc<RageReport> {
+        let stored = Arc::clone(self.reports.entry(self.version).or_insert(report));
+        if self.reports.len() > MAX_CACHED_VERSIONS {
+            self.reports.pop_first();
+        }
+        stored
     }
 }
 
@@ -321,31 +339,11 @@ struct ScenarioRuntime {
     prefix_cache: Arc<PrefixCache>,
 }
 
-/// Key of the memoised-report map.
-///
-/// `params` is a stable fingerprint of the [`ReportConfig`] (all fields are
-/// plain data, so the derived `Debug` rendering is deterministic),
-/// `schema_version` pins the structured format (bumping the schema can never
-/// serve stale cache entries), and `corpus_version` pins the corpus content:
-/// a mutation changes the key, so a report generated before the mutation can
-/// never be served after it. `deadline_ms` keys anytime requests separately —
-/// a deadline-truncated report can never be served where the exhaustive one
-/// was asked for (or vice versa), so anytime traffic cannot poison the exact
-/// cache.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-struct ReportKey {
-    scenario: String,
-    params: String,
-    shards: usize, // 0 = single index
-    schema_version: u64,
-    corpus_version: u64,
-    deadline_ms: Option<u64>,
-}
-
-/// Lock a cache map, recovering from poisoning.
+/// Lock a service map or corpus state, recovering from poisoning.
 ///
 /// The guarded maps only ever hold fully-constructed `Arc`ed values inserted
-/// via `entry().or_insert`, so a panic elsewhere in a holder's request (the
+/// via `entry().or_insert`, and a corpus state changes only after its
+/// mutation was validated, so a panic elsewhere in a holder's request (the
 /// server catches per-connection panics) cannot leave them mid-mutation;
 /// recovering keeps the service answering instead of cascading one panic into
 /// a permanent failure of every subsequent request.
@@ -353,12 +351,15 @@ fn lock_unpoisoned<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Hit/miss counters of the service's report cache.
+/// Hit/miss counters of the service's exact-report stores.
+///
+/// Only exact requests count: an anytime request never consults the stores,
+/// so it is neither a hit nor a miss.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ReportCacheStats {
-    /// Requests answered from a memoised report.
+    /// Exact requests answered from a stored report.
     pub hits: u64,
-    /// Requests that generated (and then memoised) a report.
+    /// Exact requests that generated (and then stored) a report.
     pub misses: u64,
 }
 
@@ -369,7 +370,6 @@ pub struct Service {
     config: ReportConfig,
     corpora: Mutex<HashMap<String, Arc<Mutex<CorpusState>>>>,
     runtimes: Mutex<HashMap<(String, usize), Arc<ScenarioRuntime>>>,
-    reports: Mutex<HashMap<ReportKey, Arc<RageReport>>>,
     report_hits: AtomicU64,
     report_misses: AtomicU64,
 }
@@ -393,7 +393,6 @@ impl Service {
             config,
             corpora: Mutex::new(HashMap::new()),
             runtimes: Mutex::new(HashMap::new()),
-            reports: Mutex::new(HashMap::new()),
             report_hits: AtomicU64::new(0),
             report_misses: AtomicU64::new(0),
         }
@@ -450,6 +449,7 @@ impl Service {
         let state = Arc::new(Mutex::new(CorpusState {
             scenario,
             version: 1,
+            reports: BTreeMap::new(),
         }));
         let mut map = lock_unpoisoned(&self.corpora);
         Arc::clone(map.entry(canonical.to_string()).or_insert(state))
@@ -498,35 +498,19 @@ impl Service {
         Ok(Arc::clone(map.entry(key).or_insert(runtime)))
     }
 
-    fn report_key(
-        &self,
-        canonical: &str,
-        shard_count: usize,
-        corpus_version: u64,
-        deadline_ms: Option<u64>,
-    ) -> ReportKey {
-        ReportKey {
-            scenario: canonical.to_string(),
-            params: format!("{:?}", self.config),
-            shards: shard_count,
-            schema_version: SCHEMA_VERSION,
-            corpus_version,
-            deadline_ms,
-        }
-    }
-
     /// Generate a report through a runtime and stamp it with the corpus
     /// provenance it was generated against. With a deadline the clock starts
-    /// here, covering exactly the explanation searches.
+    /// after retrieval, covering exactly the report's model calls.
     fn generate(
         &self,
         runtime: &ScenarioRuntime,
         provenance: CorpusProvenance,
         deadline_ms: Option<u64>,
     ) -> Result<Arc<RageReport>, ServiceError> {
-        let (_, evaluator) = runtime
+        let context = runtime
             .pipeline
-            .ask_and_explain(&runtime.question, runtime.retrieval_k)?;
+            .retrieve(&runtime.question, runtime.retrieval_k)?;
+        let evaluator = runtime.pipeline.evaluator(context);
         let deadline = deadline_ms.map(Deadline::after_ms);
         let mut report = RageReport::generate_with_deadline(&evaluator, &self.config, deadline)?;
         report.corpus = Some(provenance);
@@ -534,13 +518,13 @@ impl Service {
     }
 
     /// The full explanation report for a scenario at its *current* corpus
-    /// version, memoised.
+    /// version, served from the scenario's report store.
     ///
-    /// `shards: Some(n)` retrieves through an `n`-way sharded index; the
-    /// report is equal to the single-index one for every shard count, but the
-    /// two are cached under distinct keys (they exercise distinct runtimes).
-    /// The served report's `corpus` provenance always names the exact version
-    /// it was generated against.
+    /// `shards: Some(n)` retrieves through an `n`-way sharded index when the
+    /// report has to be generated. The report is equal to the single-index
+    /// one for every shard count, so all shard counts share the stored report
+    /// of a version. The served report's `corpus` provenance always names the
+    /// exact version it was generated against.
     pub fn report(
         &self,
         name: &str,
@@ -554,9 +538,10 @@ impl Service {
     /// start of generation); sections the deadline cuts short carry
     /// non-`Exact` [`rage_core::Completeness`] markers.
     ///
-    /// The deadline is part of the cache key, so anytime reports are memoised
-    /// separately per requested deadline and can never displace (or be served
-    /// in place of) the exhaustive report.
+    /// With a deadline the report is always generated afresh and never
+    /// stored: how far it got depends on wall clock and load, so it must not
+    /// be replayed to a later caller. Such a call neither reads nor writes the
+    /// report store and counts as neither a hit nor a miss.
     pub fn report_with_deadline(
         &self,
         name: &str,
@@ -564,40 +549,43 @@ impl Service {
         deadline_ms: Option<u64>,
     ) -> Result<Arc<RageReport>, ServiceError> {
         let canonical = self.canonical_name(name)?;
-        let shard_count = validate_shards(shards)?;
+        validate_shards(shards)?;
+        let exact = deadline_ms.is_none();
         let state_arc = self.corpus_state(canonical);
         let mut attempts = 0usize;
         loop {
             attempts += 1;
-            let provenance = lock_unpoisoned(&state_arc).provenance();
-            let key = self.report_key(canonical, shard_count, provenance.version, deadline_ms);
-            if let Some(report) = lock_unpoisoned(&self.reports).get(&key) {
-                self.report_hits.fetch_add(1, Ordering::Relaxed);
-                return Ok(Arc::clone(report));
-            }
-            self.report_misses.fetch_add(1, Ordering::Relaxed);
+            let provenance = {
+                let state = lock_unpoisoned(&state_arc);
+                // Hits compute the provenance too, an O(corpus) fingerprint;
+                // keeping it incrementally is ROADMAP item 4a.
+                let provenance = state.provenance();
+                if exact {
+                    if let Some(report) = state.reports.get(&provenance.version) {
+                        self.report_hits.fetch_add(1, Ordering::Relaxed);
+                        return Ok(Arc::clone(report));
+                    }
+                    self.report_misses.fetch_add(1, Ordering::Relaxed);
+                }
+                provenance
+            };
             let runtime = self.runtime(canonical, shards)?;
             if attempts > 3 {
                 // Pessimistic fallback: pin the corpus for the whole
                 // generation so a hostile mutation stream cannot starve this
                 // request forever. Mutations queue behind the lock (~100ms).
-                let state = lock_unpoisoned(&state_arc);
-                let provenance = state.provenance();
-                let report = self.generate(&runtime, provenance, deadline_ms)?;
-                let key = self.report_key(canonical, shard_count, provenance.version, deadline_ms);
-                let mut map = lock_unpoisoned(&self.reports);
-                return Ok(Arc::clone(map.entry(key).or_insert(report)));
+                let mut state = lock_unpoisoned(&state_arc);
+                let report = self.generate(&runtime, state.provenance(), deadline_ms)?;
+                return Ok(if exact { state.store(report) } else { report });
             }
             // Optimistic path: generate without blocking mutations, publish
             // only if the corpus did not move underneath the generation —
             // otherwise the report describes a corpus that no longer exists
             // and is regenerated against the new version.
             let report = self.generate(&runtime, provenance, deadline_ms)?;
-            let state = lock_unpoisoned(&state_arc);
+            let mut state = lock_unpoisoned(&state_arc);
             if state.version == provenance.version {
-                drop(state);
-                let mut map = lock_unpoisoned(&self.reports);
-                return Ok(Arc::clone(map.entry(key).or_insert(report)));
+                return Ok(if exact { state.store(report) } else { report });
             }
         }
     }
@@ -785,36 +773,18 @@ impl Service {
             // predating the mutation survives (see the module docs).
             runtime.prefix_cache.clear();
         }
-        self.prune_report_versions(canonical);
         Ok(state.provenance())
-    }
-
-    /// Keep at most [`MAX_CACHED_VERSIONS`] distinct corpus versions of one
-    /// scenario in the report cache (older versions stop being servable
-    /// through [`Service::diff_reports`] once pruned).
-    fn prune_report_versions(&self, canonical: &str) {
-        let mut map = lock_unpoisoned(&self.reports);
-        let mut versions: Vec<u64> = map
-            .keys()
-            .filter(|key| key.scenario == canonical)
-            .map(|key| key.corpus_version)
-            .collect();
-        versions.sort_unstable();
-        versions.dedup();
-        if versions.len() > MAX_CACHED_VERSIONS {
-            let cutoff = versions[versions.len() - MAX_CACHED_VERSIONS];
-            map.retain(|key, _| key.scenario != canonical || key.corpus_version >= cutoff);
-        }
     }
 
     /// The structured diff between a scenario's reports at two corpus
     /// versions.
     ///
-    /// The current version is generated (and cached) on demand; historical
-    /// versions are served from the report cache and fail with
-    /// [`ServiceError::UnknownVersion`] when no report was cached at that
-    /// version (reports are only generated on request, so a version nobody
-    /// asked a report for has nothing to diff against).
+    /// The current version is generated (and stored) on demand; historical
+    /// versions are served from the scenario's report store and fail with
+    /// [`ServiceError::UnknownVersion`] when no report of that version is
+    /// stored (reports are only generated on request, so a version nobody
+    /// asked a report for has nothing to diff against, and the store keeps
+    /// only the newest [`MAX_CACHED_VERSIONS`] versions).
     pub fn diff_reports(
         &self,
         name: &str,
@@ -823,29 +793,30 @@ impl Service {
         shards: Option<usize>,
     ) -> Result<ReportDiff, ServiceError> {
         let canonical = self.canonical_name(name)?;
-        let shard_count = validate_shards(shards)?;
-        let a = self.report_at(canonical, shard_count, shards, from)?;
-        let b = self.report_at(canonical, shard_count, shards, to)?;
+        validate_shards(shards)?;
+        let a = self.report_at(canonical, shards, from)?;
+        let b = self.report_at(canonical, shards, to)?;
         Ok(diff(&a, &b))
     }
 
     /// A report at a specific corpus version: generated when `version` is
-    /// current, served from the version-keyed cache otherwise.
+    /// current, served from the report store otherwise.
     fn report_at(
         &self,
         canonical: &'static str,
-        shard_count: usize,
         shards: Option<usize>,
         version: u64,
     ) -> Result<Arc<RageReport>, ServiceError> {
         let state_arc = self.corpus_state(canonical);
-        let current = lock_unpoisoned(&state_arc).version;
+        let state = lock_unpoisoned(&state_arc);
+        let current = state.version;
         if version == current {
+            drop(state);
             return self.report(canonical, shards);
         }
-        let key = self.report_key(canonical, shard_count, version, None);
-        lock_unpoisoned(&self.reports)
-            .get(&key)
+        state
+            .reports
+            .get(&version)
             .map(Arc::clone)
             .ok_or(ServiceError::UnknownVersion { version, current })
     }
@@ -889,7 +860,8 @@ impl Service {
             .collect())
     }
 
-    /// Hit/miss counters of the memoised-report cache.
+    /// Hit/miss counters of the exact-report stores (see
+    /// [`ReportCacheStats`]).
     pub fn report_cache_stats(&self) -> ReportCacheStats {
         ReportCacheStats {
             hits: self.report_hits.load(Ordering::Relaxed),
@@ -931,11 +903,12 @@ pub const MAX_SHARDS: usize = 64;
 /// so 8192 leaves ample head-room for legitimate growth.
 pub const MAX_CORPUS_DOCS: usize = 8192;
 
-/// Retained report-cache depth per scenario, in distinct corpus versions.
+/// Depth of each scenario's report store, in corpus versions.
 ///
-/// Old versions are kept to serve [`Service::diff_reports`]; without a cap a
-/// mutation stream (each followed by a report request) grows the cache
-/// without limit.
+/// Old versions are kept to serve [`Service::diff_reports`]; storing a new
+/// version past the cap evicts the oldest one. Without a cap a mutation
+/// stream (each followed by a report request) would grow the store without
+/// limit; with it every store is bounded by construction.
 pub const MAX_CACHED_VERSIONS: usize = 16;
 
 fn corpus_full() -> ServiceError {
@@ -1018,17 +991,33 @@ mod tests {
     }
 
     #[test]
-    fn sharded_render_is_equal_and_cached_separately() {
+    fn sharded_render_is_stored_for_every_shard_count() {
+        // A fresh service generates through the 3-shard runtime; the bytes
+        // equal the uncached single-index oracle, so the unsharded request
+        // that follows is served the same stored report.
         let service = Service::new();
-        let single = service
-            .render_report("us_open", ReportFormat::Json, None)
-            .unwrap();
+        let scenario = scenarios::scenario_by_name("us_open").unwrap();
+        let mut oracle = scenarios::report_for(&scenario, &ReportConfig::default()).unwrap();
+        oracle.corpus = Some(seed_provenance(&scenario.corpus));
         let sharded = service
             .render_report("us_open", ReportFormat::Json, Some(3))
             .unwrap();
+        assert_eq!(sharded, to_json(&oracle).render());
+        assert_eq!(
+            service.report_cache_stats(),
+            ReportCacheStats { hits: 0, misses: 1 }
+        );
+        let single = service
+            .render_report("us_open", ReportFormat::Json, None)
+            .unwrap();
         assert_eq!(single, sharded);
-        // Two distinct cache entries (different runtimes), both misses.
-        assert_eq!(service.report_cache_stats().misses, 2);
+        assert_eq!(
+            service.report_cache_stats(),
+            ReportCacheStats { hits: 1, misses: 1 }
+        );
+        // Only the runtime that generated was built.
+        assert!(service.prefix_cache_stats("us_open", Some(3)).is_some());
+        assert!(service.prefix_cache_stats("us_open", None).is_none());
     }
 
     #[test]
@@ -1141,7 +1130,7 @@ mod tests {
         // Materialise both runtimes *before* mutating so the mutations go
         // through the incremental path, not a fresh build.
         service.report("us_open", None).unwrap();
-        service.report("us_open", Some(3)).unwrap();
+        let sharded = service.runtime("us_open", Some(3)).unwrap();
 
         let added = Document::new(
             "us-open-2024",
@@ -1182,13 +1171,10 @@ mod tests {
             expected,
             "single-index runtime"
         );
-        assert_eq!(
-            service
-                .render_report("us_open", ReportFormat::Json, Some(3))
-                .unwrap(),
-            expected,
-            "3-shard runtime"
-        );
+        // Every shard count shares the stored report, so the 3-shard runtime
+        // generates directly.
+        let via_shards = service.generate(&sharded, provenance, None).unwrap();
+        assert_eq!(to_json(&via_shards).render(), expected, "3-shard runtime");
     }
 
     #[test]
@@ -1349,10 +1335,11 @@ mod tests {
     }
 
     #[test]
-    fn anytime_reports_are_cached_apart_from_exact_ones() {
+    fn anytime_reports_are_never_cached() {
         let service = Service::new();
         let exact = service.report("us_open", None).unwrap();
         assert!(exact.all_sections_exact());
+        let stats = service.report_cache_stats();
 
         // A zero deadline is already expired when generation starts: the
         // report still comes back (bounded), explicitly marked inexact.
@@ -1362,25 +1349,127 @@ mod tests {
         assert!(!anytime.all_sections_exact());
         assert!(!Arc::ptr_eq(&exact, &anytime));
 
-        // Neither request displaced the other's cache entry.
+        // The exact report is still the stored one …
         let exact_again = service.report("us_open", None).unwrap();
         assert!(Arc::ptr_eq(&exact, &exact_again));
         assert!(exact_again.all_sections_exact());
+        // … and the same deadline again generates afresh.
         let anytime_again = service
             .report_with_deadline("us_open", None, Some(0))
             .unwrap();
-        assert!(Arc::ptr_eq(&anytime, &anytime_again));
+        assert!(!Arc::ptr_eq(&anytime, &anytime_again));
+        assert_eq!(anytime_again.corpus, exact.corpus);
 
         // A generous deadline completes every search and matches the exact
-        // report section for section.
+        // report, without being the stored one.
         let generous = service
             .report_with_deadline("us_open", None, Some(600_000))
             .unwrap();
         assert!(generous.all_sections_exact());
+        assert_eq!(*generous, *exact);
+        assert!(!Arc::ptr_eq(&generous, &exact));
+
+        // Only the one exact repeat counted.
         assert_eq!(
-            generous.full_context_answer, exact.full_context_answer,
-            "a deadline that never fires must not change the answer"
+            service.report_cache_stats(),
+            ReportCacheStats {
+                hits: stats.hits + 1,
+                misses: stats.misses
+            }
         );
+    }
+
+    /// A report configuration small enough to generate dozens of reports in
+    /// a unit test.
+    fn reduced_config() -> ReportConfig {
+        ReportConfig {
+            num_optimal_orders: 1,
+            combination_budget: Some(4),
+            permutation_budget: Some(4),
+            insight_samples: 2,
+            ..ReportConfig::default()
+        }
+    }
+
+    /// The corpus versions a scenario's report store holds.
+    fn stored_versions(service: &Service, name: &'static str) -> Vec<u64> {
+        let state_arc = service.corpus_state(name);
+        let state = lock_unpoisoned(&state_arc);
+        state.reports.keys().copied().collect()
+    }
+
+    #[test]
+    fn distinct_deadlines_leave_the_store_unchanged() {
+        let service = Service::with_config(reduced_config());
+        let anytime_burst = || {
+            for deadline_ms in 0..64 {
+                let report = service
+                    .report_with_deadline("us_open", None, Some(deadline_ms))
+                    .unwrap();
+                assert_eq!(
+                    report.corpus.unwrap().version,
+                    1,
+                    "deadline_ms={deadline_ms}"
+                );
+            }
+        };
+        // Into an empty store: nothing is written …
+        anytime_burst();
+        assert_eq!(stored_versions(&service, "us_open"), Vec::<u64>::new());
+        assert_eq!(service.report_cache_stats(), ReportCacheStats::default());
+        // … so the first exact request misses and generates.
+        let exact = service.report("us_open", None).unwrap();
+        let stats = ReportCacheStats { hits: 0, misses: 1 };
+        assert_eq!(service.report_cache_stats(), stats);
+        // Next to a stored exact report: nothing is read or replaced.
+        anytime_burst();
+        assert_eq!(stored_versions(&service, "us_open"), vec![1]);
+        assert_eq!(service.report_cache_stats(), stats);
+        assert!(Arc::ptr_eq(
+            &exact,
+            &service.report("us_open", None).unwrap()
+        ));
+    }
+
+    #[test]
+    fn report_store_keeps_the_newest_versions() {
+        const CYCLES: u64 = MAX_CACHED_VERSIONS as u64 + 4;
+        let service = Service::with_config(reduced_config());
+        service.report("us_open", None).unwrap();
+        for cycle in 0..CYCLES {
+            let doc = Document::new(
+                "us-open-2024",
+                "US Open 2024",
+                format!("Aryna Sabalenka won the US Open in 2024, revision {cycle}."),
+            );
+            service.upsert_document("us_open", doc).unwrap();
+            service.report("us_open", None).unwrap();
+        }
+        let newest = CYCLES + 1;
+        let oldest_kept = newest + 1 - MAX_CACHED_VERSIONS as u64;
+        assert_eq!(
+            stored_versions(&service, "us_open"),
+            (oldest_kept..=newest).collect::<Vec<u64>>()
+        );
+        assert_eq!(
+            service.report_cache_stats(),
+            ReportCacheStats {
+                hits: 0,
+                misses: newest
+            }
+        );
+
+        // The kept versions are servable …
+        service
+            .diff_reports("us_open", oldest_kept, newest, None)
+            .unwrap();
+        // … the evicted ones are typed 404s.
+        for evicted in [1, oldest_kept - 1] {
+            let err = service
+                .diff_reports("us_open", evicted, newest, None)
+                .unwrap_err();
+            assert_eq!(err.kind(), ErrorKind::NotFound, "version {evicted}");
+        }
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! per-term `BTreeMap<String, Vec<Posting>>`:
 //!
 //! * **Term dictionary** — every distinct term is interned into one sorted string
-//!   arena ([`InvertedIndex::term_str`] slices it through an offset table). A term id
+//!   arena (`InvertedIndex::term_str` slices it through an offset table). A term id
 //!   is the term's rank in that sorted order, so lookups are a binary search over
 //!   arena slices and [`InvertedIndex::terms`] is a linear walk — no per-term `String`
 //!   allocations, no tree nodes.

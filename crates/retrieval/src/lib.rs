@@ -8,36 +8,36 @@
 //!
 //! * [`tokenize`] — lowercasing word tokenizer, light suffix stemmer and stopword list,
 //!   mirroring Lucene's `EnglishAnalyzer` defaults closely enough for ranking parity.
-//! * [`document`] — the [`Document`](document::Document) and [`Corpus`](document::Corpus)
+//! * [`document`] — the [`Document`] and [`Corpus`]
 //!   types plus JSONL (one-JSON-object-per-line) persistence, the same interchange format
 //!   Pyserini uses for its document collections.
 //! * [`index`] — an in-memory inverted index in a compact arena layout (interned term
 //!   dictionary, contiguous postings arena, precomputed per-document BM25 length
-//!   norms), built by [`IndexBuilder`](index::IndexBuilder).
+//!   norms), built by [`IndexBuilder`].
 //! * [`bm25`] — Okapi BM25 scoring with tunable `k1`/`b`.
 //! * [`topk`] — the pruned query hot path: sparse accumulation plus MaxScore-style
 //!   exact dynamic pruning over per-term score upper bounds.
-//! * [`searcher`] — [`Searcher`](searcher::Searcher), the one searcher, producing the
-//!   ranked context `Dq` (a sequence of [`RankedSource`](searcher::RankedSource)) that
+//! * [`searcher`] — [`Searcher`], the one searcher, producing the
+//!   ranked context `Dq` (a sequence of [`RankedSource`]) that
 //!   RAGE perturbs, and the thread-safe mutable
-//!   [`LiveSearcher`](searcher::LiveSearcher) around it.
-//! * [`retriever`] — the [`Retriever`](retriever::Retriever) trait the pipeline is
+//!   [`LiveSearcher`] around it.
+//! * [`retriever`] — the [`Retriever`] trait the pipeline is
 //!   generic over.
-//! * [`sharded`] — the segmented [`ShardedIndex`](sharded::ShardedIndex) every
+//! * [`sharded`] — the segmented [`ShardedIndex`] every
 //!   searcher reads: per-shard base segments, tombstones and delta segments, with
 //!   incremental mutation ([`ShardedIndex::add`](sharded::ShardedIndex::add)/`remove`/
-//!   `update`). Every mutation advances a [`CorpusVersion`](retriever::CorpusVersion)
+//!   `update`). Every mutation advances a [`CorpusVersion`]
 //!   (monotonic counter plus order-independent content fingerprint) that caches key
 //!   on; see the `sharded` module docs for the delta/compaction contract.
 //!
 //! ## One searcher, any number of segments
 //!
-//! RAGE's pipeline is generic over [`Retriever`](retriever::Retriever): anything that
+//! RAGE's pipeline is generic over [`Retriever`]: anything that
 //! can return a ranked, scored top-`k` context (plus score an individual document) can
 //! serve as the paper's retrieval model `M`. This crate ships one implementation,
-//! [`Searcher`](searcher::Searcher), over a segmented index.
+//! [`Searcher`], over a segmented index.
 //! [`Searcher::new`](searcher::Searcher::new) wraps an already-built
-//! [`InvertedIndex`](index::InvertedIndex) as one segment;
+//! [`InvertedIndex`] as one segment;
 //! [`Searcher::from_corpus`](searcher::Searcher::from_corpus) partitions a corpus into
 //! `N` contiguous shards, one segment each, built in parallel.
 //!

@@ -72,13 +72,13 @@
 //! `tests/endpoints.rs`), so batching is a throughput lever, never a
 //! semantic one.
 //!
-//! ## Limits of the 1-CPU container
+//! ## Reading the latency numbers
 //!
-//! Latency percentiles from the `loadtest` bin (`SERVER_pr.json`) are
-//! recorded on a single-CPU container: the worker pool and the batcher can
-//! only interleave, not parallelise, so p50/p95/p99 understate a real
-//! multicore deployment exactly like the bench-harness `speedup@4` ratios do
-//! (see ROADMAP "Multicore speedup is still unmeasured").
+//! Latency percentiles from the `loadtest` bin (`SERVER_pr.json`) depend on
+//! how many cores the worker pool and the batcher get: with fewer cores than
+//! busy workers they interleave rather than run in parallel, so p50/p95/p99
+//! measured on a small machine overstate the latency of a larger deployment.
+//! Record the core count (`nproc`) with any latency figure you compare.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -103,6 +103,16 @@ fn post(server: &Server, target: &str, body: &str) -> Response {
     )
 }
 
+/// `(hits, misses)` of the report store, as `/stats` serves them.
+fn report_cache_counters(server: &Server) -> (usize, usize) {
+    let (status, _, body) = get(server, "/stats");
+    assert_eq!(status, 200);
+    let doc = JsonValue::parse(std::str::from_utf8(&body).unwrap()).unwrap();
+    let cache = doc.get("report_cache").expect("report_cache member");
+    let counter = |name: &str| cache.get(name).and_then(JsonValue::as_usize).unwrap();
+    (counter("hits"), counter("misses"))
+}
+
 fn start_server() -> Server {
     Server::start(
         "127.0.0.1:0",
@@ -143,6 +153,12 @@ fn report_formats_and_shards_serve_the_library_renderings() {
     let mut report = report_for(&scenario, &ReportConfig::default()).unwrap();
     stamp_provenance(&mut report, "us_open");
 
+    // The first request generates through a 3-shard runtime: sharded
+    // retrieval ranks bit-identically, so it serves the library bytes.
+    let (status, _, sharded) = get(&server, "/report?scenario=us_open&format=json&shards=3");
+    assert_eq!(status, 200);
+    assert_eq!(sharded, to_json(&report).render().as_bytes());
+
     let (status, head, body) = get(&server, "/report?scenario=us_open&format=md");
     assert_eq!(status, 200);
     assert!(head.contains("text/markdown"), "{head}");
@@ -153,16 +169,16 @@ fn report_formats_and_shards_serve_the_library_renderings() {
     assert!(head.contains("text/html"), "{head}");
     assert_eq!(body, rage_report::render_html(&report).as_bytes());
 
-    // Sharded retrieval serves the same bytes (rankings are bit-identical).
     let (_, _, single) = get(&server, "/report?scenario=us_open&format=json");
-    let (status, _, sharded) = get(&server, "/report?scenario=us_open&format=json&shards=3");
-    assert_eq!(status, 200);
     assert_eq!(single, sharded);
 
     // `us-open` normalises to `us_open` exactly like the CLI.
     let (status, _, dashed) = get(&server, "/report?scenario=us-open&format=json");
     assert_eq!(status, 200);
     assert_eq!(single, dashed);
+
+    // One generation served every format and shard count.
+    assert_eq!(report_cache_counters(&server), (4, 1));
 }
 
 #[test]
@@ -690,13 +706,7 @@ fn stats_reflect_the_report_cache() {
     let (_, _, first) = get(&server, "/report?scenario=timeline&format=json");
     let (_, _, second) = get(&server, "/report?scenario=timeline&format=json");
     assert_eq!(first, second);
-
-    let (status, _, body) = get(&server, "/stats");
-    assert_eq!(status, 200);
-    let doc = JsonValue::parse(std::str::from_utf8(&body).unwrap()).unwrap();
-    let cache = doc.get("report_cache").expect("report_cache member");
-    assert_eq!(cache.get("misses").and_then(JsonValue::as_usize), Some(1));
-    assert!(cache.get("hits").and_then(JsonValue::as_usize).unwrap() >= 1);
+    assert_eq!(report_cache_counters(&server), (1, 1));
 }
 
 /// `/stats` counts connections and requests apart: N requests on one
@@ -739,8 +749,8 @@ fn stats_count_requests_and_connections_apart() {
 /// `deadline_ms=` turns `/report` into an anytime request: a pre-expired
 /// deadline still answers 200 with an explicit `completeness` block, the
 /// exact report stays byte-identical before and after the anytime traffic
-/// (the caches are keyed apart), and a malformed deadline is the caller's
-/// fault, not the server's.
+/// (anytime reports are never cached, so the report-cache counters do not
+/// move), and a malformed deadline is the caller's fault, not the server's.
 #[test]
 fn report_deadlines_bound_work_without_poisoning_the_exact_cache() {
     let server = start_server();
@@ -748,6 +758,7 @@ fn report_deadlines_bound_work_without_poisoning_the_exact_cache() {
     // Exact first, so the exact cache is warm before any anytime request.
     let (status, _, exact_before) = get(&server, "/report?scenario=us_open&format=json");
     assert_eq!(status, 200);
+    assert_eq!(report_cache_counters(&server), (0, 1));
 
     // A deadline that expired before the searches even started: still a 200,
     // and the document says out loud which sections were cut short.
@@ -775,10 +786,13 @@ fn report_deadlines_bound_work_without_poisoning_the_exact_cache() {
     assert_eq!(status, 200);
     assert_eq!(relaxed, exact_before);
 
-    // The exact cache never saw any of that.
+    // The exact cache never saw any of that: neither anytime request was a
+    // hit or a miss, and the exact request that follows is a hit.
+    assert_eq!(report_cache_counters(&server), (0, 1));
     let (status, _, exact_after) = get(&server, "/report?scenario=us_open&format=json");
     assert_eq!(status, 200);
     assert_eq!(exact_after, exact_before);
+    assert_eq!(report_cache_counters(&server), (1, 1));
 
     // Malformed deadlines are 400s.
     for target in [
